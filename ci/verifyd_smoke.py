@@ -9,8 +9,7 @@ QASM_DIR (``{name}.left.qasm`` / ``{name}.right.qasm``):
 1. one-shot baseline: ``verify --dir`` produces the reference verdicts;
 2. daemon A (3 workers) serves 3 concurrent unix-socket clients, two
    rounds over all pairs — verdicts must match the baseline exactly,
-   round 2 must report warm-store reuse (``warm_hits > 0``), ``stats``
-   must balance, and ``drain`` must answer cleanly and exit 0;
+   ``stats`` must balance, and ``drain`` must answer cleanly and exit 0;
 3. daemon B (1 worker, zero queue) is flooded until admission control
    rejects with the SATURATED code, a client disconnect cancels its
    in-flight race, and ``shutdown`` exits 0.
@@ -114,7 +113,7 @@ def main():
     if set(oneshot) != set(pairs):
         fail(f"one-shot report names {sorted(oneshot)} != pairs {pairs}")
 
-    # --- 2. daemon A: 3 concurrent clients, two rounds, parity + warmth --
+    # --- 2. daemon A: 3 concurrent clients, two rounds, verdict parity ---
     sock_a = os.path.join(tmp, "a.sock")
     daemon_a = start_daemon(verifyd_bin, sock_a, "--workers", "3", "--max-queue", "8")
     results = {}
@@ -161,13 +160,6 @@ def main():
             fail(f"round {round_number} {name}: equivalence flag diverges")
         if result["cancelled"]:
             fail(f"round {round_number} {name}: spuriously cancelled")
-    warm_hits = sum(
-        (result["report"].get("shared_store") or {}).get("warm_hits", 0)
-        for (round_number, _), result in results.items()
-        if round_number == 2
-    )
-    if warm_hits <= 0:
-        fail("round 2 requests saw no warm-store reuse (warm_hits == 0)")
 
     admin = Client(sock_a)
     stats = admin.call({"id": "stats", "method": "stats"})["result"]
@@ -175,8 +167,6 @@ def main():
         fail(f"stats.completed {stats['completed']} != {2 * len(pairs)}")
     if stats["queue_depth"] != 0 or stats["inflight"] != 0:
         fail(f"daemon not idle before drain: {stats}")
-    if stats["attached_workspaces"] != 0:
-        fail(f"leaked workspaces on shelved stores: {stats}")
     drain = admin.call({"id": "drain", "method": "drain"})
     if not drain.get("result", {}).get("stopped"):
         fail(f"drain did not acknowledge: {drain}")
@@ -185,7 +175,7 @@ def main():
     if os.path.exists(sock_a):
         fail("daemon A left its socket file behind")
     print(f"daemon A ok: {2 * len(pairs)} requests over 3 clients, "
-          f"verdict parity with one-shot, warm_hits={warm_hits}, clean drain")
+          "verdict parity with one-shot, clean drain")
 
     # --- 3. daemon B: saturation + disconnect-cancels + shutdown ---------
     sock_b = os.path.join(tmp, "b.sock")

@@ -6,12 +6,6 @@
 //! instance — that is the whole point of racing them — while a fixed single
 //! scheme is sometimes the slow one.
 //!
-//! The `portfolio_shared` group additionally races the shared
-//! decision-diagram store against private per-scheme packages on the
-//! QPE/IQPE miters and records the comparison (wall times, cross-thread hit
-//! rates, peak nodes) in `BENCH_shared.json` at the repository root, so the
-//! shared-package perf trajectory is tracked across PRs.
-//!
 //! The `portfolio_scheduler` group compares the telemetry-driven
 //! *predicted* launch policy against racing everything on a QFT/QPE
 //! workload and records the comparison (wall times, scheme launches,
@@ -114,123 +108,6 @@ fn group_selected(name: &str) -> bool {
     }
 }
 
-fn bench_shared_vs_private(c: &mut Criterion) {
-    if !group_selected("portfolio_shared") {
-        return;
-    }
-    let mut rows = Vec::new();
-    for (family, n) in [
-        (Family::Qpe, 7usize),
-        (Family::Qpe, 9),
-        (Family::Qpe, 11),
-        (Family::Qft, 12),
-    ] {
-        let instance = build_instance(family, n);
-        let static_circuit = &instance.static_circuit;
-        let dynamic_circuit = &instance.dynamic_circuit;
-        // Explicit schemes force the threaded racing path even for the
-        // smallest instance (the sequential fast path never shares).
-        let schemes = portfolio::applicable_schemes(static_circuit, dynamic_circuit);
-        let shared_config = PortfolioConfig {
-            schemes: schemes.clone(),
-            ..PortfolioConfig::default()
-        };
-        let private_config = PortfolioConfig {
-            schemes,
-            shared_package: false,
-            ..PortfolioConfig::default()
-        };
-
-        // One instrumented run for the sharing telemetry, then timed runs.
-        let instrumented = verify_portfolio(static_circuit, dynamic_circuit, &shared_config);
-        let store = instrumented
-            .shared_store
-            .expect("non-tiny race uses the shared store");
-        let shared_secs = min_wall_time(7, || {
-            verify_portfolio(static_circuit, dynamic_circuit, &shared_config)
-        })
-        .as_secs_f64();
-        let private_secs = min_wall_time(7, || {
-            verify_portfolio(static_circuit, dynamic_circuit, &private_config)
-        })
-        .as_secs_f64();
-        let family_name = instance.family.name();
-        println!(
-            "portfolio_shared/{family_name}/{n}: shared {shared_secs:.3}s vs private \
-             {private_secs:.3}s ({:.2}x), cross-thread hit rate {:.1}%, peak {} nodes, \
-             contention {:.6}s, winner {}",
-            private_secs / shared_secs,
-            100.0 * store.cross_thread_hit_rate,
-            store.peak_nodes,
-            store.shard_contention_seconds,
-            instrumented.winner.map(|s| s.name()).unwrap_or("-"),
-        );
-        rows.push(format!(
-            "    {{ \"family\": \"{family_name}\", \"n\": {n}, \"shared_secs\": \
-             {shared_secs:.6}, \"private_secs\": {private_secs:.6}, \"speedup\": {:.4}, \
-             \"cross_thread_hit_rate\": {:.6}, \"cross_thread_hits\": {}, \
-             \"shared_peak_nodes\": {}, \"shared_allocated_nodes\": {}, \
-             \"shard_contention_seconds\": {:.6}, \"mirror_invalidations\": {}, \
-             \"epoch_pins\": {}, \"retired_generations\": {}, \"winner\": \"{}\" }}",
-            private_secs / shared_secs,
-            store.cross_thread_hit_rate,
-            store.cross_thread_hits,
-            store.peak_nodes,
-            store.allocated_nodes,
-            store.shard_contention_seconds,
-            store.mirror_invalidations,
-            store.epoch_pins,
-            store.retired_generations,
-            instrumented.winner.map(|s| s.name()).unwrap_or("-"),
-        ));
-    }
-
-    let json = bench::emit::envelope(
-        "portfolio_shared",
-        "shared-store vs private-package portfolio races on QPE/IQPE and QFT miters (min of 7 \
-         runs)",
-        &[
-            "small n: four instances, min-of-7 wall times on one machine — \
-             treat speedups within ~1.3x of parity as noise, not signal",
-            "cross_thread_hit_rate counts canonical-store hits only; compute-table reuse is \
-             invisible here, so low rates do not mean no sharing",
-            "shared_peak_nodes is a store-lifetime gauge, not a per-race delta: a warm store \
-             inflates it",
-            "contention/invalidation counters come from the single instrumented run, not the \
-             timed min-of-7 — one barrier landing differently can move them",
-        ],
-        &[("instances", format!("[\n{}\n  ]", rows.join(",\n")))],
-    );
-    bench::emit::write_artifact("BENCH_shared.json", &json);
-
-    // Criterion timings for the grep-friendly log (smaller sample budget:
-    // the explicit min-of-7 above is the recorded comparison).
-    let mut group = c.benchmark_group("portfolio_shared");
-    group.sample_size(10);
-    for n in [7usize, 9] {
-        let instance = build_instance(Family::Qpe, n);
-        let static_circuit = &instance.static_circuit;
-        let dynamic_circuit = &instance.dynamic_circuit;
-        let schemes = portfolio::applicable_schemes(static_circuit, dynamic_circuit);
-        let shared_config = PortfolioConfig {
-            schemes: schemes.clone(),
-            ..PortfolioConfig::default()
-        };
-        let private_config = PortfolioConfig {
-            schemes,
-            shared_package: false,
-            ..PortfolioConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::new("shared", n), &n, |b, _| {
-            b.iter(|| verify_portfolio(static_circuit, dynamic_circuit, &shared_config))
-        });
-        group.bench_with_input(BenchmarkId::new("private", n), &n, |b, _| {
-            b.iter(|| verify_portfolio(static_circuit, dynamic_circuit, &private_config))
-        });
-    }
-    group.finish();
-}
-
 fn bench_predicted_vs_race(c: &mut Criterion) {
     if !group_selected("portfolio_scheduler") {
         return;
@@ -260,7 +137,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
             &instance.static_circuit,
             &instance.dynamic_circuit,
             &race_config,
-            None,
             Some(&warm_stats),
         );
         let fresh = Mutex::new(TelemetryStore::new());
@@ -268,7 +144,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
             &instance.static_circuit,
             &instance.dynamic_circuit,
             &predicted_config,
-            None,
             Some(&fresh),
         );
         assert!(
@@ -307,7 +182,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
             static_circuit,
             dynamic_circuit,
             &predicted_config,
-            None,
             Some(&warm_stats),
         );
         assert!(
@@ -335,7 +209,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
                 static_circuit,
                 dynamic_circuit,
                 &predicted_config,
-                None,
                 Some(&warm_stats),
             )
         })
@@ -410,7 +283,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
                     static_circuit,
                     dynamic_circuit,
                     config,
-                    None,
                     Some(&warm_stats),
                 )
             })
@@ -423,7 +295,6 @@ criterion_group!(
     benches,
     bench_portfolio_vs_single_schemes,
     bench_batch_throughput,
-    bench_shared_vs_private,
     bench_predicted_vs_race
 );
 criterion_main!(benches);

@@ -13,7 +13,7 @@
 //! snapshot files:
 //!
 //! * a [`ChainSpec`] with the original and each pass output in pipeline
-//!   order (verified pass-by-pass on one warm store), and
+//!   order (verified pass-by-pass), and
 //! * a [`PairSpec`] of original vs. final circuit (the classical endpoint
 //!   check), so chain and endpoint mode can be compared on identical input.
 

@@ -9,15 +9,14 @@
 //!   distribution of the other circuit.
 
 use crate::equivalence::{Configuration, Equivalence};
-use crate::unitary::{check_functional_equivalence_in, CheckError, FunctionalCheck};
+use crate::unitary::{check_functional_equivalence_with, CheckError, FunctionalCheck};
 use circuit::QuantumCircuit;
-use dd::{Budget, LimitExceeded, SharedStore};
+use dd::{Budget, LimitExceeded};
 use sim::{
-    extract_distribution_budgeted_in, ExtractionConfig, OutcomeDistribution, SimError,
+    extract_distribution_budgeted, ExtractionConfig, OutcomeDistribution, SimError,
     StateVectorSimulator,
 };
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transform::{align_to_reference, reconstruct_unitary, TransformError};
 
@@ -129,24 +128,6 @@ pub fn verify_dynamic_functional_with(
     config: &Configuration,
     budget: &Budget,
 ) -> Result<FunctionalVerification, DynamicCheckError> {
-    verify_dynamic_functional_in(reference, dynamic, config, budget, None)
-}
-
-/// [`verify_dynamic_functional_with`] with an optional shared
-/// decision-diagram store (see [`dd::SharedStore`]): the functional check
-/// after reconstruction attaches as a workspace of the store, sharing gate
-/// diagrams and miter structure with the other racing schemes.
-///
-/// # Errors
-///
-/// Same as [`verify_dynamic_functional_with`].
-pub fn verify_dynamic_functional_in(
-    reference: &QuantumCircuit,
-    dynamic: &QuantumCircuit,
-    config: &Configuration,
-    budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
-) -> Result<FunctionalVerification, DynamicCheckError> {
     let cancelled =
         || DynamicCheckError::Check(CheckError::LimitExceeded(LimitExceeded::Cancelled));
     // Reconstruct both sides (a static reference passes through unchanged).
@@ -164,7 +145,7 @@ pub fn verify_dynamic_functional_in(
 
     let start = Instant::now();
     let check =
-        check_functional_equivalence_in(&reference_rec.circuit, &aligned, config, budget, store)?;
+        check_functional_equivalence_with(&reference_rec.circuit, &aligned, config, budget)?;
     let verification_time = start.elapsed();
 
     Ok(FunctionalVerification {
@@ -220,8 +201,7 @@ pub fn outcome_distribution_with(
     extraction: &ExtractionConfig,
     budget: &Budget,
 ) -> Result<(OutcomeDistribution, Duration), DynamicCheckError> {
-    let (distribution, duration, _) =
-        outcome_distribution_telemetry(circuit, extraction, budget, None)?;
+    let (distribution, duration, _) = outcome_distribution_telemetry(circuit, extraction, budget)?;
     Ok((distribution, duration))
 }
 
@@ -231,15 +211,13 @@ fn outcome_distribution_telemetry(
     circuit: &QuantumCircuit,
     extraction: &ExtractionConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> Result<(OutcomeDistribution, Duration, dd::MemoryStats), DynamicCheckError> {
     let start = Instant::now();
     if circuit.is_dynamic() {
-        let result = extract_distribution_budgeted_in(circuit, None, extraction, budget, store)?;
+        let result = extract_distribution_budgeted(circuit, None, extraction, budget)?;
         Ok((result.distribution, start.elapsed(), result.memory))
     } else {
-        let mut sim =
-            StateVectorSimulator::with_budget_in(circuit.num_qubits(), budget.clone(), store);
+        let mut sim = StateVectorSimulator::with_budget(circuit.num_qubits(), budget.clone());
         sim.run(circuit)?;
         let dist = sim.outcome_distribution();
         let memory = sim.memory_stats();
@@ -278,28 +256,10 @@ pub fn verify_fixed_input_with(
     extraction: &ExtractionConfig,
     budget: &Budget,
 ) -> Result<FixedInputVerification, DynamicCheckError> {
-    verify_fixed_input_in(reference, dynamic, config, extraction, budget, None)
-}
-
-/// [`verify_fixed_input_with`] with an optional shared decision-diagram
-/// store (see [`dd::SharedStore`]): both distribution computations attach as
-/// workspaces, sharing structure with each other and the racing schemes.
-///
-/// # Errors
-///
-/// Same as [`verify_fixed_input_with`].
-pub fn verify_fixed_input_in(
-    reference: &QuantumCircuit,
-    dynamic: &QuantumCircuit,
-    config: &Configuration,
-    extraction: &ExtractionConfig,
-    budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
-) -> Result<FixedInputVerification, DynamicCheckError> {
     let (reference_distribution, reference_time, reference_memory) =
-        outcome_distribution_telemetry(reference, extraction, budget, store)?;
+        outcome_distribution_telemetry(reference, extraction, budget)?;
     let (dynamic_distribution, dynamic_time, dynamic_memory) =
-        outcome_distribution_telemetry(dynamic, extraction, budget, store)?;
+        outcome_distribution_telemetry(dynamic, extraction, budget)?;
     let memory = reference_memory.merged_with(&dynamic_memory);
 
     if reference_distribution.n_bits() != dynamic_distribution.n_bits() {

@@ -72,21 +72,17 @@ mod unitary;
 
 pub use dynamic::{
     outcome_distribution, outcome_distribution_with, verify_dynamic_functional,
-    verify_dynamic_functional_in, verify_dynamic_functional_with, verify_fixed_input,
-    verify_fixed_input_in, verify_fixed_input_with, DynamicCheckError, FixedInputVerification,
-    FunctionalVerification,
+    verify_dynamic_functional_with, verify_fixed_input, verify_fixed_input_with, DynamicCheckError,
+    FixedInputVerification, FunctionalVerification,
 };
 pub use equivalence::{Configuration, Equivalence, Strategy};
 pub use simulation::{
-    check_simulative_equivalence, check_simulative_equivalence_in,
-    check_simulative_equivalence_with, SimulativeCheck,
+    check_simulative_equivalence, check_simulative_equivalence_with, SimulativeCheck,
 };
 pub use unitary::{
-    check_functional_equivalence, check_functional_equivalence_in,
-    check_functional_equivalence_with, CheckError, FunctionalCheck,
+    check_functional_equivalence, check_functional_equivalence_with, CheckError, FunctionalCheck,
 };
 
-// Re-export the shared resource-limit vocabulary (and the shared-package
-// store used for portfolio racing) so downstream users do not need a direct
-// `dd` dependency to budget, cancel or co-locate checks.
-pub use dd::{Budget, CancelToken, LimitExceeded, SharedStore, SharedStoreStats};
+// Re-export the resource-limit vocabulary so downstream users do not need a
+// direct `dd` dependency to budget or cancel checks.
+pub use dd::{Budget, CancelToken, LimitExceeded};

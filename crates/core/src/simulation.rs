@@ -75,24 +75,6 @@ pub fn check_simulative_equivalence_with(
     config: &Configuration,
     budget: &Budget,
 ) -> Result<SimulativeCheck, CheckError> {
-    check_simulative_equivalence_in(left, right, config, budget, None)
-}
-
-/// [`check_simulative_equivalence_with`] with an optional shared
-/// decision-diagram store (see [`dd::SharedStore`]): both simulators attach
-/// as workspaces, so the gate diagrams they build are shared with each other
-/// and with every other racing scheme.
-///
-/// # Errors
-///
-/// Same as [`check_simulative_equivalence_with`].
-pub fn check_simulative_equivalence_in(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &Configuration,
-    budget: &Budget,
-    store: Option<&std::sync::Arc<dd::SharedStore>>,
-) -> Result<SimulativeCheck, CheckError> {
     if left.num_qubits() != right.num_qubits() {
         return Err(CheckError::RegisterMismatch {
             left: left.num_qubits(),
@@ -120,15 +102,12 @@ pub fn check_simulative_equivalence_in(
         } else {
             (0..n).map(|_| rng.r#gen::<bool>()).collect()
         };
-        // Both stimulus runs share one simulator (one package, one shared-
-        // store attachment): a thread can only park one workspace at a GC
-        // safe point, so a second simultaneous attachment would stall the
-        // store's mid-race barrier collections into their deferral fallback.
-        let mut sim = StateVectorSimulator::with_memory_and_initial_state_in(
+        // Both stimulus runs share one simulator, so the second run reuses
+        // the gate diagrams the first one built.
+        let mut sim = StateVectorSimulator::with_memory_and_initial_state(
             &bits,
             budget.clone(),
             config.memory,
-            store,
         );
         sim.run(&left_unitary).map_err(|e| run_error("left", e))?;
         let fidelity = sim

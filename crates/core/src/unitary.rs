@@ -231,24 +231,6 @@ pub fn check_functional_equivalence_with(
     config: &Configuration,
     budget: &Budget,
 ) -> Result<FunctionalCheck, CheckError> {
-    check_functional_equivalence_in(left, right, config, budget, None)
-}
-
-/// [`check_functional_equivalence_with`] with an optional shared
-/// decision-diagram store (see [`dd::SharedStore`]): the miter package then
-/// attaches as a workspace, so the gate diagrams and intermediate miter
-/// structure are shared with every other scheme racing on the same store.
-///
-/// # Errors
-///
-/// Same as [`check_functional_equivalence_with`].
-pub fn check_functional_equivalence_in(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &Configuration,
-    budget: &Budget,
-    store: Option<&std::sync::Arc<dd::SharedStore>>,
-) -> Result<FunctionalCheck, CheckError> {
     if left.num_qubits() != right.num_qubits() {
         return Err(CheckError::RegisterMismatch {
             left: left.num_qubits(),
@@ -260,7 +242,7 @@ pub fn check_functional_equivalence_in(
     let left_ops = unitary_ops(left, "left")?;
     let right_ops = unitary_ops(right, "right")?;
 
-    let mut package = DdPackage::with_store_config(store, n, budget.clone(), config.memory);
+    let mut package = DdPackage::with_config(n, budget.clone(), config.memory);
     let mut miter = package.identity();
     let mut peak = package.matrix_size(miter);
 

@@ -118,19 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_export_works_on_shared_workspaces() {
-        // Regression: the exporter must read nodes through the shared-store
-        // dispatchers, not the (empty) private arenas of a workspace.
-        let store = crate::SharedStore::new();
-        let mut ws = store.workspace(2);
-        let mut state = ws.zero_state();
-        state = ws.apply_gate(state, &gates::h(), 0, &[]);
-        assert!(ws.vector_to_dot(state).starts_with("digraph"));
-        let cx = ws.make_gate(&gates::x(), 1, &[crate::Control::pos(0)]);
-        assert!(ws.matrix_to_dot(cx).contains("q1"));
-    }
-
-    #[test]
     fn matrix_dot_is_well_formed() {
         let mut p = DdPackage::new(2);
         let cx = p.make_gate(&gates::x(), 1, &[crate::Control::pos(0)]);

@@ -74,8 +74,7 @@
 //!   slice's bucket keys in one pass and probes each value's merged
 //!   candidate set with one vectorized tolerance scan, returning exactly
 //!   the `CIdx` sequence the scalar [`ComplexTable::lookup`] loop would
-//!   (property-tested, including near-bucket-boundary adversaries). On a
-//!   shared store, a batch publishes under a single lock acquisition.
+//!   (property-tested, including near-bucket-boundary adversaries).
 //! * **Dense terminal-case apply** — below
 //!   [`MemoryConfig::dense_cutoff`](MemoryConfig) levels (default
 //!   [`DEFAULT_DENSE_CUTOFF`] = 3, clamped to [`DENSE_CUTOFF_MAX`], 0
@@ -96,66 +95,13 @@
 //!
 //! ## Concurrency model
 //!
-//! A [`DdPackage`] by itself is single-threaded (`Send`, not `Sync`). For
-//! portfolio racing, the canonicity-carrying half can be split into a
-//! [`SharedStore`] with one package-*workspace* per thread
-//! ([`SharedStore::workspace`]):
-//!
-//! * **Shared (in the store):** the canonical complex table (striped —
-//!   each bucket row hashes to one of a fixed set of mutexes, and a
-//!   publish locks only the stripes its probe windows touch, in ascending
-//!   order; batches are the *only* shared write path), the vector/matrix
-//!   unique tables (sharded by node hash into independently locked maps),
-//!   the append-only node arenas (reader/writer locks), the gate-diagram
-//!   L2 cache, free lists and telemetry counters. Any thread interning the
-//!   same `(weight, children)` gets the *same* canonical edge, so racing
-//!   schemes turn duplicated construction into cross-thread cache hits
-//!   ([`MemoryStats::cross_thread_hits`]).
-//! * **Epoch-snapshot reads:** every completed collection publishes an
-//!   immutable [`Generation`](store) — an `Arc`-shared copy of the node
-//!   arenas and complex lanes — and each workspace *pins* the current
-//!   generation when it attaches and re-pins after every collection it
-//!   crosses. Reads of pre-snapshot structure go straight to the pinned
-//!   copy with no lock and no atomic; only post-snapshot tail slots fall
-//!   back to a bulk fetch under the arena read lock. A superseded
-//!   generation is not reclaimed until its last reader re-pins (deferred
-//!   reclamation — `dd.store.retired_generations` vs
-//!   `dd.store.deferred_reclaim_bytes` below), so a pinned read can never
-//!   observe a recycled slot and `mirror_invalidations` is pinned at zero.
-//! * **Thread-local (in each workspace):** the lossy compute caches (they
-//!   are overwrite-on-collision, so thread-local is correct and lock-free),
-//!   the identity cache (canonical interning makes independently built
-//!   identities identical), [`Budget`]/[`CancelToken`], protection roots and
-//!   [`MemoryStats`].
-//! * **GC safe-point barrier:** collection on a shared store stops the
-//!   world *at its safe points* and runs mid-race. A workspace whose GC
-//!   threshold trips elects itself the collector (a non-blocking `try_lock`
-//!   of the store's GC lock, which attachment also takes) and raises a
-//!   `gc_requested` flag; every other workspace polls the flag at its
-//!   operation safe points (the entries of `apply`/`mul`/`add`/
-//!   `transpose`) and *parks* there with its roots published — protected
-//!   edges, in-flight operands, identity and gate caches. Once all other
-//!   attachments are parked (or detached), the collector sweeps from every
-//!   published root set plus the shared gate cache, rebuilds the sharded
-//!   unique tables, compacts the complex table and publishes a fresh
-//!   generation before releasing the barrier; everyone then re-pins and
-//!   clears only the node-keyed memos. The weight-keyed memos *survive*
-//!   the sweep: their complex indices are published as GC roots, and
-//!   compaction keeps marked indices stable. Protected edges keep their
-//!   node ids, so parked diagrams stay pointer-identical across the swap.
-//!   An attachment that never reaches a safe point (idle, or one very long
-//!   operation) makes the collector give up after a bounded patience and
-//!   fall back to deferring collection — which is why a thread should hold
-//!   at most one attached workspace at a time: a second one can never park
-//!   while its sibling runs. Workspaces attached later pin the current
-//!   generation and can never see a stale slot.
-//! * **Warm reuse:** a store may outlive a race (the portfolio batch driver
-//!   pools one per register width); [`SharedStore::begin_race`] marks the
-//!   boundary and hits on pre-existing structure are reported as warm hits.
-//! * **Panic isolation:** store locks recover from poisoning (their
-//!   critical sections keep the data consistent at every panic point), so
-//!   one panicking racer cannot take the store — or the other racers —
-//!   down with it.
+//! A [`DdPackage`] is single-threaded (`Send`, not `Sync`) and owns all of
+//! its state: arenas, unique tables, the complex table, the compute caches,
+//! the [`Budget`] and [`MemoryStats`]. Concurrency lives one layer up: a
+//! portfolio race runs one private package per scheme thread, and the
+//! threads share nothing but a [`CancelToken`] — the winner trips it and the
+//! losers unwind at their next allocation or safe point. Garbage collection
+//! therefore never coordinates across threads.
 //!
 //! ## Observability
 //!
@@ -173,31 +119,21 @@
 //! |---|---|---|
 //! | `dd.compute.lookups` / `dd.compute.hits` | count | folded at package drop; live packages are invisible until then |
 //! | `dd.gate.lookups` / `dd.gate.hits` | count | repeated single-gate circuits hit ~100% regardless of cache quality |
-//! | `dd.unique.hits` | count | includes same-thread re-interns — not a sharing metric |
-//! | `dd.unique.cross_thread_hits` | count | attribution is by first-interner; symmetric duplicates count for neither |
+//! | `dd.unique.hits` | count | folded at package drop; counts re-interns within one package, so repeated construction shows up as hits |
 //! | `dd.gc.runs` / `dd.gc.reclaimed` | count | high counts can be healthy pressure or a thrashing threshold — check reclaimed per run |
-//! | `dd.gc.barrier_runs` | count | completed rounds only; aborted rounds are `barrier_deferrals` |
-//! | `dd.gc.barrier_deferrals` | count | one deferral doubles the collector's threshold, shifting all later GC timing |
-//! | `dd.gc.barrier_wait_ns` | nanos | sums across threads, so it can exceed wall-clock time |
 //! | `dd.ctab.compacted` | count | entries, not bytes; rehashing survivors is not counted |
-//! | `dd.store.shard_waits` / `shard_contention_ns` | count / nanos | timed only on the blocking path; uncontended acquisitions report zero |
-//! | `dd.store.mirror_invalidations` | count | pinned at zero under epoch-snapshot reads; kept so old dashboards show the regression if it ever returns |
-//! | `dd.store.epoch_pins` | count | one pin per attach plus one per collection crossed; a high count means frequent GC, not expensive reads — pinning is an `Arc` clone |
-//! | `dd.store.retired_generations` | count | equals completed shared collections; retirement is not reclamation — a pinned generation lives on until its last reader moves |
-//! | `dd.store.deferred_reclaim_bytes` | count | a running total of bytes that *entered* deferral, never decremented when freed; it bounds transient overhead, not live memory |
 //! | `dd.kernels.backend_avx2` / `_scalar` | count | one increment per process at first dispatch — a config gauge, not a usage meter |
 //! | `dd.dense.applies` | count | counts compute-cache *misses* routed dense; a high hit rate makes this small regardless of the cutoff |
 //! | `dd.ctab.batch_interned` | count | counts weights, not batches; says nothing about lock acquisitions saved |
 //! | `dd.gates.twiddle_hits` | count | only cold gate-DD builds reach this path — the gate cache absorbs repeats first |
 //!
-//! Trace events: `gc.private`, `gc.sole`, `gc.barrier` (a span whose end
-//! records `outcome` collected/deferred), `gc.barrier.parked`,
-//! `gc.barrier.sweep` and per-workspace `gc.park` events with park
-//! durations. Contention counters (`SharedStoreStats::shard_lock_waits`,
-//! `shard_contention_ns`, `barrier_wait_ns`, `barrier_deferrals`,
-//! `epoch_pins`, `retired_generations`, `deferred_reclaim_bytes`) are
-//! always on and reported per race through the portfolio's shared-store
-//! report.
+//! The catalogue still lists `dd.unique.cross_thread_hits`,
+//! `dd.store.shard_contention_ns` and `dd.gc.park_ns`, which only a shared
+//! multi-thread store could fill: they always read 0 now, and are kept
+//! because the benchmark harness reads them.
+//!
+//! Trace events: one `gc.private` event per collection, with the reclaimed
+//! node and complex-table counts.
 //!
 //! ## Quick example
 //!
@@ -224,7 +160,6 @@ pub mod kernels;
 mod limits;
 mod node;
 mod package;
-pub mod store;
 mod table;
 
 mod export;
@@ -238,5 +173,4 @@ pub use package::{
     Control, DdPackage, MemoryConfig, MemoryStats, PackageStats, DEFAULT_DENSE_CUTOFF,
     DEFAULT_GC_THRESHOLD, DENSE_CUTOFF_MAX,
 };
-pub use store::{SharedStore, SharedStoreStats};
 pub use table::{CIdx, ComplexTable};

@@ -131,8 +131,7 @@ impl Budget {
     /// The [`DdPackage`](crate::DdPackage) polls the deadline on its
     /// node-allocation path (at the same reduced cadence as the cancel
     /// flag) *and* at every operation safe point, so even allocation-free
-    /// stretches — cache-hit-heavy phases, or waiting out a shared-store
-    /// GC barrier — stop promptly after the deadline passes and report
+    /// stretches — cache-hit-heavy phases — stop promptly after the deadline passes and report
     /// [`LimitExceeded::Deadline`].
     #[must_use]
     pub fn with_deadline(self, timeout: Duration) -> Self {

@@ -27,81 +27,7 @@ use crate::hash::{fx_hash, FxHashMap};
 use crate::kernels;
 use crate::limits::{Budget, LimitExceeded};
 use crate::node::{MEdge, MNode, NodeId, VEdge, VNode};
-use crate::store::{SharedHandle, SharedStore};
 use crate::table::{CIdx, ComplexTable};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long a barrier-GC collector waits for every other attached workspace
-/// to park at a safe point before abandoning the round (falling back to
-/// deferral). Bounds the stall an idle attachment — or one stuck inside a
-/// single very long operation — can impose on a collection request.
-const BARRIER_PATIENCE: Duration = Duration::from_millis(100);
-
-/// What a shared-store collection attempt did (see
-/// [`DdPackage::collect_garbage`] for the public `usize` view).
-enum SharedGcOutcome {
-    /// A sweep ran and reclaimed this many nodes.
-    Collected(usize),
-    /// Another workspace holds the collector role; nothing was swept here.
-    Contended,
-    /// The barrier timed out waiting for an attachment to reach a safe
-    /// point; the request was abandoned (deferral fallback).
-    Aborted,
-}
-
-/// RAII scope of one barrier-GC round: raises `gc_requested` on `begin` and
-/// guarantees the round is closed on *every* exit path — via
-/// [`complete`](Self::complete) after a successful sweep (bumps the
-/// generation so parked workspaces re-pin the freshly published snapshot),
-/// or via `Drop` on abort and on collector panic (no generation bump; parked
-/// workspaces resume on their existing pin instead of waiting forever on a
-/// dead round).
-struct BarrierRound<'a> {
-    store: &'a crate::store::SharedStore,
-    completed: bool,
-}
-
-impl<'a> BarrierRound<'a> {
-    fn begin(store: &'a crate::store::SharedStore) -> Self {
-        let mut barrier = crate::store::lock(&store.barrier);
-        barrier.request += 1;
-        store.gc_requested.store(true, Ordering::Release);
-        drop(barrier);
-        BarrierRound {
-            store,
-            completed: false,
-        }
-    }
-
-    /// Closes the round after a successful sweep: parked workspaces wake,
-    /// see the generation advance and re-pin the new snapshot (their memos
-    /// survive — the sweep marked their weight roots).
-    fn complete(mut self) {
-        let mut barrier = crate::store::lock(&self.store.barrier);
-        barrier.generation += 1;
-        self.completed = true;
-        self.store.gc_requested.store(false, Ordering::Release);
-        self.store.barrier_cv.notify_all();
-    }
-}
-
-impl Drop for BarrierRound<'_> {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        let mut barrier = crate::store::lock(&self.store.barrier);
-        // Invalidate the round id so any workspace parked on it stops
-        // waiting — whether the collector gave up (abort) or died mid-sweep
-        // (panic), a request that will never finish must not hold parkers.
-        barrier.request += 1;
-        barrier.published.clear();
-        self.store.gc_requested.store(false, Ordering::Release);
-        self.store.barrier_cv.notify_all();
-    }
-}
 
 /// A control qubit of a multi-qubit gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,15 +153,6 @@ pub struct MemoryStats {
     pub complex_entries: usize,
     /// Complex-table entries reclaimed by garbage-collection compaction.
     pub complex_reclaimed: u64,
-    /// Live nodes in the attached [`SharedStore`](crate::SharedStore)
-    /// (`0` for a private package).
-    pub shared_nodes: usize,
-    /// Shared-store canonical lookups (unique tables and the shared gate
-    /// cache) answered by an existing entry. `0` for a private package.
-    pub intern_hits: u64,
-    /// Subset of [`intern_hits`](Self::intern_hits) where the entry was
-    /// created by a *different* workspace of the same shared store.
-    pub cross_thread_hits: u64,
     /// Compute-table lookups across all eight tables.
     pub compute_lookups: u64,
     /// Compute-table lookups answered from cache.
@@ -266,16 +183,6 @@ impl MemoryStats {
         }
     }
 
-    /// Fraction of shared-store canonical hits served by an entry another
-    /// workspace created, or `None` for private packages (no shared hits).
-    pub fn cross_thread_hit_rate(&self) -> Option<f64> {
-        if self.intern_hits == 0 {
-            None
-        } else {
-            Some(self.cross_thread_hits as f64 / self.intern_hits as f64)
-        }
-    }
-
     /// Aggregates telemetry of several packages (e.g. the two simulators of
     /// a simulative check): counters add up, gauges take the maximum.
     #[must_use]
@@ -290,9 +197,6 @@ impl MemoryStats {
             complex_values: self.complex_values.max(other.complex_values),
             complex_entries: self.complex_entries.max(other.complex_entries),
             complex_reclaimed: self.complex_reclaimed + other.complex_reclaimed,
-            shared_nodes: self.shared_nodes.max(other.shared_nodes),
-            intern_hits: self.intern_hits + other.intern_hits,
-            cross_thread_hits: self.cross_thread_hits + other.cross_thread_hits,
             compute_lookups: self.compute_lookups + other.compute_lookups,
             compute_hits: self.compute_hits + other.compute_hits,
             gate_lookups: self.gate_lookups + other.gate_lookups,
@@ -301,18 +205,10 @@ impl MemoryStats {
     }
 }
 
-/// Cache key of a gate diagram: exact matrix bit patterns plus placement
-/// *and register size* — the diagram wraps identity levels up to the
-/// package's qubit count, so the same gate in registers of different widths
-/// is a different diagram.
-///
-/// Shared between each package's lossy L1 gate cache and the
-/// [`SharedStore`](crate::SharedStore)'s exact L2 map (where workspaces of
-/// different sizes coexist).
+/// Cache key of a gate diagram: exact matrix bit patterns plus placement.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct GateKey {
+struct GateKey {
     matrix: [u64; 8],
-    n_qubits: u32,
     target: u32,
     controls: Vec<Control>,
 }
@@ -361,10 +257,10 @@ struct DenseScratch {
 pub struct DdPackage {
     n_qubits: usize,
     ctab: ComplexTable,
-    pub(crate) vnodes: Vec<VNode>,
+    vnodes: Vec<VNode>,
     vfree: Vec<u32>,
     vunique: Vec<UniqueTable>,
-    pub(crate) mnodes: Vec<MNode>,
+    mnodes: Vec<MNode>,
     mfree: Vec<u32>,
     munique: Vec<UniqueTable>,
     ct_mat_vec: LossyCache<(NodeId, NodeId), VEdge>,
@@ -400,17 +296,13 @@ pub struct DdPackage {
     allocated_nodes: u64,
     reclaimed_nodes: u64,
     complex_reclaimed: u64,
-    /// Node-budget meter of a shared workspace: fresh allocations into the
-    /// store, re-snapped to the store's live count after a sole-attachment
-    /// collection (see `charge_allocation`). Unused in private mode.
-    charged_nodes: usize,
+    /// Unique-table lookups answered by an existing node, folded into the
+    /// `dd.unique.hits` metric when the package drops.
+    unique_hits: u64,
     peak_nodes: usize,
     budget: Budget,
     exceeded: Option<LimitExceeded>,
     allocs_since_check: u32,
-    /// Present when this package is a workspace of a [`SharedStore`]; all
-    /// node/weight canonicalisation then goes through the store.
-    shared: Option<SharedHandle>,
 }
 
 impl DdPackage {
@@ -486,56 +378,12 @@ impl DdPackage {
             allocated_nodes: 0,
             reclaimed_nodes: 0,
             complex_reclaimed: 0,
-            charged_nodes: 0,
+            unique_hits: 0,
             peak_nodes: 0,
             budget,
             exceeded: None,
             allocs_since_check: 0,
-            shared: None,
         }
-    }
-
-    /// Creates a workspace attached to `store` (see
-    /// [`SharedStore::workspace_with`]): node and weight canonicalisation go
-    /// through the store's concurrent tables, while the lossy compute caches,
-    /// the budget and all telemetry stay thread-local.
-    pub(crate) fn attached(
-        store: &Arc<SharedStore>,
-        n_qubits: usize,
-        budget: Budget,
-        config: MemoryConfig,
-    ) -> Self {
-        let mut package = DdPackage::with_config(n_qubits, budget, config);
-        package.shared = Some(SharedHandle::new(store));
-        package
-    }
-
-    /// Creates either a workspace attached to `store` or a private package:
-    /// the one-liner the verification schemes use to honour an optional
-    /// shared store without duplicating construction logic.
-    pub fn with_store(store: Option<&Arc<SharedStore>>, n_qubits: usize, budget: Budget) -> Self {
-        DdPackage::with_store_config(store, n_qubits, budget, MemoryConfig::default())
-    }
-
-    /// [`with_store`](Self::with_store) with explicit [`MemoryConfig`]
-    /// sizing: the portfolio scheduler uses this to hand each verification
-    /// scheme a garbage-collection threshold tuned from recorded peak-node
-    /// telemetry instead of the static default.
-    pub fn with_store_config(
-        store: Option<&Arc<SharedStore>>,
-        n_qubits: usize,
-        budget: Budget,
-        config: MemoryConfig,
-    ) -> Self {
-        match store {
-            Some(store) => store.workspace_with(n_qubits, budget, config),
-            None => DdPackage::with_config(n_qubits, budget, config),
-        }
-    }
-
-    /// The shared store this package is attached to, if any.
-    pub fn shared_store(&self) -> Option<&Arc<SharedStore>> {
-        self.shared.as_ref().map(|handle| &handle.store)
     }
 
     /// Number of qubits this package was created for.
@@ -563,28 +411,15 @@ impl DdPackage {
     ///
     /// The cancel flag is an atomic shared across threads and the deadline
     /// needs a clock read, so both are polled only every 256 allocations; the
-    /// node cap is a plain comparison and is checked every time.
-    ///
-    /// On a shared-store workspace the cap meters `charged_nodes`: the
-    /// nodes *this workspace* allocated (store misses it paid for), not the
-    /// store-wide live count — budgets keep their per-scheme meaning in a
-    /// race, and reusing a node another scheme interned costs nothing; that
-    /// reuse is the point of sharing. While collection is deferred (other
-    /// workspaces attached) nothing is reclaimed, so the charge is also the
-    /// scheme's true live contribution to the store; after a
-    /// sole-attachment collection the charge re-snaps to the store's live
-    /// count, mirroring how a private package's live meter shrinks under GC.
+    /// node cap is a plain comparison against the live node count and is
+    /// checked every time.
     #[inline]
     fn charge_allocation(&mut self) {
         if self.exceeded.is_some() {
             return;
         }
         if let Some(max) = self.budget.max_nodes() {
-            let metered = match &self.shared {
-                None => self.live_nodes(),
-                Some(_) => self.charged_nodes,
-            };
-            if metered > max {
+            if self.live_nodes() > max {
                 self.exceeded = Some(LimitExceeded::NodeLimit);
                 return;
             }
@@ -600,32 +435,18 @@ impl DdPackage {
     }
 
     /// Returns allocation statistics (live node counts).
-    ///
-    /// For a workspace of a [`SharedStore`], the counts are store-wide: the
-    /// nodes are collectively owned, there is no per-workspace arena.
     pub fn stats(&self) -> PackageStats {
-        match &self.shared {
-            None => PackageStats {
-                vector_nodes: self.vnodes.len() - self.vfree.len(),
-                matrix_nodes: self.mnodes.len() - self.mfree.len(),
-                complex_values: self.ctab.len(),
-            },
-            Some(handle) => PackageStats {
-                vector_nodes: handle.store.vlive.load(Ordering::Relaxed),
-                matrix_nodes: handle.store.mlive.load(Ordering::Relaxed),
-                complex_values: handle.store.ctab.len(),
-            },
+        PackageStats {
+            vector_nodes: self.vnodes.len() - self.vfree.len(),
+            matrix_nodes: self.mnodes.len() - self.mfree.len(),
+            complex_values: self.ctab.len(),
         }
     }
 
-    /// Live nodes across both arenas (store-wide for shared workspaces, so
-    /// node budgets meter the collective heap they contribute to).
+    /// Live nodes across both arenas.
     #[inline]
     fn live_nodes(&self) -> usize {
-        match &self.shared {
-            None => self.vnodes.len() - self.vfree.len() + self.mnodes.len() - self.mfree.len(),
-            Some(handle) => handle.store.live_nodes(),
-        }
+        self.vnodes.len() - self.vfree.len() + self.mnodes.len() - self.mfree.len()
     }
 
     /// Drops all memoisation tables (unique tables and nodes are kept).
@@ -753,15 +574,6 @@ impl DdPackage {
     /// are recycled under the same ids. The complex table is compacted in
     /// the same pass: weights referenced by no surviving node, protected
     /// edge or cached gate diagram are freed for reuse.
-    ///
-    /// On a workspace of a [`SharedStore`] with other workspaces attached,
-    /// this requests a **safe-point barrier** collection: the other
-    /// workspaces park at their next operation safe point with their roots
-    /// published, and this workspace sweeps on behalf of all of them (see
-    /// the `dd::store` module docs). If an attached workspace does not
-    /// reach a safe point within the barrier patience (it is idle or stuck
-    /// in one very long operation), the request is abandoned and `0` is
-    /// returned — the old deferral semantics as a fallback.
     pub fn garbage_collect(&mut self) -> usize {
         self.collect_garbage(&[], &[])
     }
@@ -769,18 +581,6 @@ impl DdPackage {
     /// [`garbage_collect`](Self::garbage_collect) with additional temporary
     /// roots — the operand edges of an in-flight operation entry point.
     pub fn collect_garbage(&mut self, keep_vectors: &[VEdge], keep_matrices: &[MEdge]) -> usize {
-        if self.shared.is_some() {
-            return match self.collect_shared(keep_vectors, keep_matrices) {
-                SharedGcOutcome::Collected(reclaimed) => reclaimed,
-                SharedGcOutcome::Contended | SharedGcOutcome::Aborted => 0,
-            };
-        }
-        self.collect_private(keep_vectors, keep_matrices)
-    }
-
-    /// Private-package mark-and-sweep (the non-shared half of
-    /// [`collect_garbage`](Self::collect_garbage)).
-    fn collect_private(&mut self, keep_vectors: &[VEdge], keep_matrices: &[MEdge]) -> usize {
         // --- mark ---------------------------------------------------------
         let mut vmark = vec![false; self.vnodes.len()];
         let mut mmark = vec![false; self.mnodes.len()];
@@ -886,400 +686,11 @@ impl DdPackage {
         reclaimed
     }
 
-    /// Shared-store collection: elects this workspace the collector (a
-    /// non-blocking `try_lock` of the store's GC lock — blocking here while
-    /// another collector waits for the world to park would deadlock) and
-    /// either sweeps immediately (sole attachment) or runs the safe-point
-    /// barrier protocol of the `dd::store` module docs.
-    fn collect_shared(
-        &mut self,
-        keep_vectors: &[VEdge],
-        keep_matrices: &[MEdge],
-    ) -> SharedGcOutcome {
-        let store = Arc::clone(&self.shared.as_ref().expect("shared workspace").store);
-        let _guard = match store.gc_lock.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                // Another workspace is collecting (or attaching). If it is
-                // waiting at the barrier, park for it; either way our own
-                // request is moot — its sweep serves the whole store.
-                if store.gc_requested.load(Ordering::Acquire) {
-                    self.park_for_barrier(keep_vectors, keep_matrices);
-                }
-                return SharedGcOutcome::Contended;
-            }
-        };
-        if store.attached.load(Ordering::Acquire) == 1 {
-            // Sole attachment: nothing to coordinate with.
-            let span = obs::trace::span("gc.sole", &[("live", store.live_nodes().into())]);
-            let reclaimed = self.sweep_shared(&store, keep_vectors, keep_matrices, &[]);
-            self.finish_shared_collection(&store, reclaimed, false);
-            span.end(&[("reclaimed", reclaimed.into())]);
-            return SharedGcOutcome::Collected(reclaimed);
-        }
-
-        // --- barrier: stop the world at its safe points -------------------
-        // The round guard ends the round however this function exits: if
-        // the collector panics mid-sweep, the guard's Drop still lowers the
-        // flag and advances the request id so parked workspaces wake up
-        // instead of waiting on the dead round forever.
-        let round_span = obs::trace::span(
-            "gc.barrier",
-            &[
-                ("live", store.live_nodes().into()),
-                ("attached", store.attached.load(Ordering::Acquire).into()),
-            ],
-        );
-        let round_start = Instant::now();
-        let round = BarrierRound::begin(&store);
-        let published = {
-            let mut barrier = crate::store::lock(&store.barrier);
-            let patience = Instant::now() + BARRIER_PATIENCE;
-            loop {
-                // Detaching workspaces shrink the quorum (a finished scheme
-                // simply leaves); parked workspaces cannot detach, so the
-                // published count never overshoots a stale quorum.
-                let quorum = store.attached.load(Ordering::Acquire) - 1;
-                if barrier.published.len() >= quorum {
-                    break std::mem::take(&mut barrier.published);
-                }
-                if Instant::now() >= patience {
-                    // An attached workspace is not reaching safe points
-                    // (idle, or inside one very long operation): give up and
-                    // fall back to deferral rather than stall its race. The
-                    // round guard releases the parked workspaces.
-                    let parked = barrier.published.len();
-                    drop(barrier);
-                    let waited = round_start.elapsed().as_nanos() as u64;
-                    store.barrier_wait_ns.fetch_add(waited, Ordering::Relaxed);
-                    store.barrier_deferrals.fetch_add(1, Ordering::Relaxed);
-                    obs::metrics::incr(obs::metrics::DD_GC_BARRIER_DEFERRALS);
-                    round_span.end(&[
-                        ("outcome", "deferred".into()),
-                        ("parked", parked.into()),
-                        (
-                            "quorum",
-                            (store.attached.load(Ordering::Acquire) - 1).into(),
-                        ),
-                    ]);
-                    return SharedGcOutcome::Aborted;
-                }
-                let (guard, _) = store
-                    .barrier_cv
-                    .wait_timeout(barrier, patience - Instant::now())
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                barrier = guard;
-            }
-            // The barrier mutex drops here; parked workspaces stay blocked
-            // (their round's request id is still current and the flag is
-            // still up), and no workspace can attach while we hold gc_lock.
-        };
-
-        // Request -> park phase is over: every other workspace is parked.
-        let all_parked = Instant::now();
-        store.barrier_wait_ns.fetch_add(
-            (all_parked - round_start).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
-        obs::trace::event(
-            "gc.barrier.parked",
-            &[
-                ("parked", published.len().into()),
-                (
-                    "wait_us",
-                    ((all_parked - round_start).as_micros() as u64).into(),
-                ),
-            ],
-        );
-
-        let reclaimed = self.sweep_shared(&store, keep_vectors, keep_matrices, &published);
-        let swept = Instant::now();
-        obs::trace::event(
-            "gc.barrier.sweep",
-            &[("sweep_us", ((swept - all_parked).as_micros() as u64).into())],
-        );
-
-        round.complete();
-        store.gc_barrier_runs.fetch_add(1, Ordering::Relaxed);
-        self.finish_shared_collection(&store, reclaimed, true);
-        obs::metrics::incr(obs::metrics::DD_GC_BARRIER_RUNS);
-        obs::metrics::observe_ns(
-            obs::metrics::HIST_GC_ROUND_NS,
-            round_start.elapsed().as_nanos() as u64,
-        );
-        round_span.end(&[
-            ("outcome", "collected".into()),
-            ("reclaimed", reclaimed.into()),
-            ("parked", published.len().into()),
-        ]);
-        SharedGcOutcome::Collected(reclaimed)
-    }
-
-    /// Parks this workspace at the store's GC barrier: publishes its roots
-    /// (protected edges, the in-flight operands, the identity and local
-    /// gate caches, the memo-table weight indices) and blocks until the
-    /// collector releases the barrier, then re-pins whatever generation a
-    /// completed collection published.
-    fn park_for_barrier(&mut self, keep_vectors: &[VEdge], keep_matrices: &[MEdge]) {
-        let store = Arc::clone(&self.shared.as_ref().expect("shared workspace").store);
-        let roots = self.published_roots(keep_vectors, keep_matrices);
-        let mut barrier = crate::store::lock(&store.barrier);
-        if !store.gc_requested.load(Ordering::Acquire) {
-            return; // the round ended before we got here
-        }
-        let park_start = Instant::now();
-        let request = barrier.request;
-        let generation = barrier.generation;
-        barrier.published.push(roots);
-        store.barrier_cv.notify_all();
-        while barrier.request == request && store.gc_requested.load(Ordering::Acquire) {
-            barrier = store
-                .barrier_cv
-                .wait(barrier)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        let collected = barrier.generation != generation;
-        drop(barrier);
-        let parked_ns = park_start.elapsed().as_nanos() as u64;
-        store
-            .barrier_wait_ns
-            .fetch_add(parked_ns, Ordering::Relaxed);
-        obs::metrics::observe_ns(obs::metrics::HIST_GC_PARK_NS, parked_ns);
-        obs::trace::event(
-            "gc.park",
-            &[
-                ("park_us", (parked_ns / 1_000).into()),
-                ("collected", collected.into()),
-            ],
-        );
-        if collected {
-            // A new generation was published: re-pin it (dropping the epoch
-            // tails/overlays — the weight memos survive, their roots were
-            // marked) and clear the node-keyed caches, whose NodeId keys may
-            // be recycled from now on. Protected edges kept their ids, so
-            // held diagrams stay valid and pointer-identical.
-            self.clear_node_keyed_caches();
-            self.shared.as_mut().expect("shared workspace").repin();
-            self.charged_nodes = self.charged_nodes.min(store.live_nodes());
-        }
-    }
-
-    /// Snapshot of this workspace's GC roots for publication at the barrier.
-    fn published_roots(
-        &self,
-        keep_vectors: &[VEdge],
-        keep_matrices: &[MEdge],
-    ) -> crate::store::PublishedRoots {
-        let medges: Vec<MEdge> = keep_matrices
-            .iter()
-            .chain(&self.ident_cache)
-            .copied()
-            .chain(self.gate_cache.entries().map(|(_, e)| *e))
-            .filter(|e| !e.is_zero())
-            .collect();
-        // The weight memos survive collections, so every index they
-        // reference must stay live (and index-stable) across the sweep.
-        let mut wroots: Vec<u32> = self.wroots.keys().copied().collect();
-        if let Some(handle) = &self.shared {
-            wroots.extend(handle.memo_weight_roots());
-        }
-        crate::store::PublishedRoots {
-            vroots: self.vroots.keys().copied().collect(),
-            mroots: self.mroots.keys().copied().collect(),
-            wroots,
-            vedges: keep_vectors
-                .iter()
-                .copied()
-                .filter(|e| !e.is_zero())
-                .collect(),
-            medges,
-        }
-    }
-
-    /// Sweeps the shared arenas from this workspace's roots, the operand
-    /// edges, every published (parked-workspace) root set and the shared
-    /// gate cache; rebuilds the sharded unique tables and compacts the
-    /// shared complex table. Caller must hold the store's `gc_lock` with
-    /// every other attached workspace parked (or be the sole attachment).
-    fn sweep_shared(
-        &mut self,
-        store: &SharedStore,
-        keep_vectors: &[VEdge],
-        keep_matrices: &[MEdge],
-        published: &[crate::store::PublishedRoots],
-    ) -> usize {
-        // --- assemble the full root sets ------------------------------
-        // The collector's own roots take the exact shape a parked workspace
-        // would publish; the shared gate cache is store-wide and marked
-        // once on top.
-        let own = self.published_roots(keep_vectors, keep_matrices);
-        let mut varena = crate::store::write(&store.varena);
-        let mut marena = crate::store::write(&store.marena);
-        let mut root_vedges: Vec<VEdge> = Vec::new();
-        let mut root_medges: Vec<MEdge> = crate::store::lock(&store.gate_cache)
-            .values()
-            .map(|(e, _)| *e)
-            .filter(|e| !e.is_zero())
-            .collect();
-        let mut vroot_ids: Vec<u32> = Vec::new();
-        let mut mroot_ids: Vec<u32> = Vec::new();
-        let mut wroot_ids: Vec<u32> = Vec::new();
-        for roots in std::iter::once(&own).chain(published) {
-            root_vedges.extend(roots.vedges.iter().copied().filter(|e| !e.is_zero()));
-            root_medges.extend(roots.medges.iter().copied().filter(|e| !e.is_zero()));
-            vroot_ids.extend_from_slice(&roots.vroots);
-            mroot_ids.extend_from_slice(&roots.mroots);
-            wroot_ids.extend_from_slice(&roots.wroots);
-        }
-
-        // --- mark -----------------------------------------------------
-        let mut vmark = vec![false; varena.len()];
-        let mut mmark = vec![false; marena.len()];
-        for &id in &vroot_ids {
-            mark_vector(&varena, &mut vmark, NodeId(id));
-        }
-        for e in &root_vedges {
-            mark_vector(&varena, &mut vmark, e.node);
-        }
-        for &id in &mroot_ids {
-            mark_matrix(&marena, &mut mmark, NodeId(id));
-        }
-        for e in &root_medges {
-            mark_matrix(&marena, &mut mmark, e.node);
-        }
-
-        // --- sweep ----------------------------------------------------
-        let mut reclaimed = 0usize;
-        {
-            let mut vfree = crate::store::lock(&store.vfree);
-            for (idx, marked) in vmark.iter().enumerate() {
-                if !marked && !varena[idx].is_free() {
-                    varena[idx] = VNode::FREE;
-                    vfree.push(idx as u32);
-                    reclaimed += 1;
-                }
-            }
-        }
-        {
-            let mut mfree = crate::store::lock(&store.mfree);
-            for (idx, marked) in mmark.iter().enumerate() {
-                if !marked && !marena[idx].is_free() {
-                    marena[idx] = MNode::FREE;
-                    mfree.push(idx as u32);
-                    reclaimed += 1;
-                }
-            }
-        }
-
-        // --- rebuild the sharded unique tables ------------------------
-        // Take each shard lock exactly once: every other workspace is
-        // parked (or absent) and we hold both arena write locks, so nothing
-        // contends — per-node locking would just pay 2N uncontended mutex
-        // round-trips.
-        let ws_id = self.shared.as_ref().expect("shared workspace").ws_id;
-        let mut vlive = 0usize;
-        {
-            let mut shards: Vec<_> = store.vshards.iter().map(crate::store::lock).collect();
-            for shard in shards.iter_mut() {
-                shard.clear();
-            }
-            for (idx, node) in varena.iter().enumerate() {
-                if !node.is_free() {
-                    vlive += 1;
-                    let hash = fx_hash(node);
-                    shards[(hash as usize) & (crate::store::SHARDS - 1)].insert(
-                        *node,
-                        crate::store::Interned {
-                            id: idx as u32,
-                            owner: ws_id,
-                        },
-                    );
-                }
-            }
-        }
-        let mut mlive = 0usize;
-        {
-            let mut shards: Vec<_> = store.mshards.iter().map(crate::store::lock).collect();
-            for shard in shards.iter_mut() {
-                shard.clear();
-            }
-            for (idx, node) in marena.iter().enumerate() {
-                if !node.is_free() {
-                    mlive += 1;
-                    let hash = fx_hash(node);
-                    shards[(hash as usize) & (crate::store::SHARDS - 1)].insert(
-                        *node,
-                        crate::store::Interned {
-                            id: idx as u32,
-                            owner: ws_id,
-                        },
-                    );
-                }
-            }
-        }
-        store.vlive.store(vlive, Ordering::Relaxed);
-        store.mlive.store(mlive, Ordering::Relaxed);
-
-        // --- compact the shared complex table -------------------------
-        let cmark = mark_weights(
-            &varena,
-            &marena,
-            wroot_ids.iter().copied(),
-            &root_vedges,
-            &root_medges,
-            store.ctab.len(),
-        );
-        let compacted = store.ctab.retain_marked(&cmark) as u64;
-        self.complex_reclaimed += compacted;
-        obs::metrics::add(obs::metrics::DD_CTAB_COMPACTED, compacted);
-
-        // --- publish the post-sweep generation snapshot ---------------
-        // Both arena write locks are still held and the table was just
-        // compacted, so the snapshot is consistent by construction; parked
-        // workspaces re-pin it when the barrier releases.
-        store.publish_generation(&varena, &marena);
-        reclaimed
-    }
-
-    /// Post-sweep bookkeeping of the collecting workspace.
-    fn finish_shared_collection(&mut self, store: &SharedStore, reclaimed: usize, barrier: bool) {
-        store
-            .reclaimed
-            .fetch_add(reclaimed as u64, Ordering::Relaxed);
-        store.gc_runs.fetch_add(1, Ordering::Relaxed);
-        // Freed slots may be recycled under the same ids from now on: clear
-        // the node-keyed caches and re-pin the just-published generation
-        // (the weight memos survive — the sweep marked their roots).
-        self.clear_node_keyed_caches();
-        self.shared.as_mut().expect("shared workspace").repin();
-        // Re-snap the node-budget meter, mirroring how a private package's
-        // live meter shrinks under GC: a sole survivor owns everything still
-        // live; after a barrier sweep the survivors are shared between the
-        // parked racers, so the charge is only clamped, never re-attributed.
-        self.charged_nodes = if barrier {
-            self.charged_nodes.min(store.live_nodes())
-        } else {
-            store.live_nodes()
-        };
-        self.gc_runs += 1;
-        self.reclaimed_nodes += reclaimed as u64;
-        obs::metrics::incr(obs::metrics::DD_GC_RUNS);
-        obs::metrics::add(obs::metrics::DD_GC_RECLAIMED, reclaimed as u64);
-    }
-
-    /// Operation safe point: polls the shared store's barrier request (park
-    /// if a collector is waiting), the wall-clock deadline (cache-hit-heavy
-    /// stretches allocate nothing, and a barrier park can outlast the
-    /// deadline — both must still trip it) and the automatic-GC threshold.
-    /// The operands of the operation about to run are passed as temporary
-    /// roots.
+    /// Operation safe point: polls the wall-clock deadline (cache-hit-heavy
+    /// stretches allocate nothing, so they must still trip it here) and the
+    /// automatic-GC threshold. The operands of the operation about to run are
+    /// passed as temporary roots.
     fn safe_point(&mut self, keep_vectors: &[VEdge], keep_matrices: &[MEdge]) {
-        if let Some(handle) = &self.shared {
-            if handle.store.gc_requested.load(Ordering::Acquire) {
-                self.park_for_barrier(keep_vectors, keep_matrices);
-            }
-        }
         if self.exceeded.is_none() && self.budget.deadline_exceeded() {
             self.exceeded = Some(LimitExceeded::Deadline);
         }
@@ -1295,27 +706,10 @@ impl DdPackage {
         if self.exceeded.is_some() || self.live_nodes() < threshold {
             return;
         }
-        let outcome = if self.shared.is_some() {
-            self.collect_shared(keep_vectors, keep_matrices)
-        } else {
-            SharedGcOutcome::Collected(self.collect_private(keep_vectors, keep_matrices))
-        };
-        match outcome {
-            // A competitor is already collecting on behalf of the store;
-            // re-check at the next safe point.
-            SharedGcOutcome::Contended => {}
-            // An uncooperative attachment stalled the barrier: back off so
-            // the next safe points do not re-pay the barrier patience.
-            SharedGcOutcome::Aborted => {
-                self.gc_threshold = Some(threshold.saturating_mul(2));
-            }
-            SharedGcOutcome::Collected(reclaimed) => {
-                // Mostly-live heap: double the threshold instead of
-                // thrashing.
-                if reclaimed * 4 < threshold {
-                    self.gc_threshold = Some(threshold.saturating_mul(2));
-                }
-            }
+        let reclaimed = self.collect_garbage(keep_vectors, keep_matrices);
+        // Mostly-live heap: double the threshold instead of thrashing.
+        if reclaimed * 4 < threshold {
+            self.gc_threshold = Some(threshold.saturating_mul(2));
         }
     }
 
@@ -1329,17 +723,6 @@ impl DdPackage {
         }
         let gate = self.gate_cache.counters();
         let package_stats = self.stats();
-        let (complex_values, complex_entries, shared_nodes, intern_hits, cross_thread_hits) =
-            match &self.shared {
-                None => (self.ctab.len(), self.ctab.live_len(), 0, 0, 0),
-                Some(handle) => (
-                    handle.store.ctab.len(),
-                    handle.store.ctab.live_len(),
-                    handle.store.live_nodes(),
-                    handle.intern_hits,
-                    handle.cross_thread_hits,
-                ),
-            };
         MemoryStats {
             live_vector_nodes: package_stats.vector_nodes,
             live_matrix_nodes: package_stats.matrix_nodes,
@@ -1347,12 +730,9 @@ impl DdPackage {
             allocated_nodes: self.allocated_nodes,
             reclaimed_nodes: self.reclaimed_nodes,
             gc_runs: self.gc_runs,
-            complex_values,
-            complex_entries,
+            complex_values: self.ctab.len(),
+            complex_entries: self.ctab.live_len(),
             complex_reclaimed: self.complex_reclaimed,
-            shared_nodes,
-            intern_hits,
-            cross_thread_hits,
             compute_lookups,
             compute_hits,
             gate_lookups: gate.lookups,
@@ -1394,6 +774,7 @@ impl DdPackage {
         let gate = self.gate_cache.counters();
         obs::metrics::add(obs::metrics::DD_GATE_LOOKUPS, gate.lookups);
         obs::metrics::add(obs::metrics::DD_GATE_HITS, gate.hits);
+        obs::metrics::add(obs::metrics::DD_UNIQUE_HITS, self.unique_hits);
         obs::metrics::add(obs::metrics::DD_DENSE_APPLIES, self.dense_applies);
     }
 
@@ -1404,56 +785,37 @@ impl DdPackage {
     /// Interns a complex value and returns its index.
     #[inline]
     pub fn intern(&mut self, value: Complex) -> CIdx {
-        match &mut self.shared {
-            None => self.ctab.lookup(value),
-            Some(handle) => handle.intern(value),
-        }
+        self.ctab.lookup(value)
     }
 
-    /// Value behind an interned index, from the private table or the shared
-    /// store's mirror. All weight reads funnel through here.
+    /// Value behind an interned index. All weight reads funnel through here.
     #[inline]
     fn cval(&self, idx: CIdx) -> Complex {
-        match &self.shared {
-            None => self.ctab.value(idx),
-            Some(handle) => handle.value(idx),
-        }
+        self.ctab.value(idx)
     }
 
     /// Interns the product of two interned weights.
     #[inline]
     fn cmul(&mut self, a: CIdx, b: CIdx) -> CIdx {
-        match &mut self.shared {
-            None => self.ctab.mul(a, b),
-            Some(handle) => handle.mul(a, b),
-        }
+        self.ctab.mul(a, b)
     }
 
     /// Interns the sum of two interned weights.
     #[inline]
     fn cadd(&mut self, a: CIdx, b: CIdx) -> CIdx {
-        match &mut self.shared {
-            None => self.ctab.add(a, b),
-            Some(handle) => handle.add(a, b),
-        }
+        self.ctab.add(a, b)
     }
 
     /// Interns the quotient of two interned weights.
     #[inline]
     fn cdiv(&mut self, a: CIdx, b: CIdx) -> CIdx {
-        match &mut self.shared {
-            None => self.ctab.div(a, b),
-            Some(handle) => handle.div(a, b),
-        }
+        self.ctab.div(a, b)
     }
 
     /// Interns the conjugate of an interned weight.
     #[inline]
     fn cconj(&mut self, a: CIdx) -> CIdx {
-        match &mut self.shared {
-            None => self.ctab.conj(a),
-            Some(handle) => handle.conj(a),
-        }
+        self.ctab.conj(a)
     }
 
     /// Returns the complex value behind an index.
@@ -1525,19 +887,11 @@ impl DdPackage {
     /// Hash-conses a vector node: returns the existing id or allocates one
     /// (recycling a freed arena slot when available).
     fn intern_vnode(&mut self, node: VNode) -> NodeId {
-        if let Some(handle) = &mut self.shared {
-            let (id, fresh) = handle.intern_vnode(node);
-            if fresh {
-                self.allocated_nodes += 1;
-                self.charged_nodes += 1;
-                self.peak_nodes = self.peak_nodes.max(handle.store.live_nodes());
-            }
-            return id;
-        }
         let level = node.var as usize;
         let hash = fx_hash(&node);
         let vnodes = &self.vnodes;
         if let Some(id) = self.vunique[level].find(hash, |id| vnodes[id as usize] == node) {
+            self.unique_hits += 1;
             return NodeId(id);
         }
         let idx = match self.vfree.pop() {
@@ -1595,19 +949,11 @@ impl DdPackage {
 
     /// Hash-conses a matrix node; see [`intern_vnode`](Self::intern_vnode).
     fn intern_mnode(&mut self, node: MNode) -> NodeId {
-        if let Some(handle) = &mut self.shared {
-            let (id, fresh) = handle.intern_mnode(node);
-            if fresh {
-                self.allocated_nodes += 1;
-                self.charged_nodes += 1;
-                self.peak_nodes = self.peak_nodes.max(handle.store.live_nodes());
-            }
-            return id;
-        }
         let level = node.var as usize;
         let hash = fx_hash(&node);
         let mnodes = &self.mnodes;
         if let Some(id) = self.munique[level].find(hash, |id| mnodes[id as usize] == node) {
+            self.unique_hits += 1;
             return NodeId(id);
         }
         let idx = match self.mfree.pop() {
@@ -1630,18 +976,12 @@ impl DdPackage {
 
     #[inline]
     pub(crate) fn vnode(&self, id: NodeId) -> VNode {
-        match &self.shared {
-            None => self.vnodes[id.index()],
-            Some(handle) => handle.vnode(id),
-        }
+        self.vnodes[id.index()]
     }
 
     #[inline]
     pub(crate) fn mnode(&self, id: NodeId) -> MNode {
-        match &self.shared {
-            None => self.mnodes[id.index()],
-            Some(handle) => handle.mnode(id),
-        }
+        self.mnodes[id.index()]
     }
 
     /// Successor edges of a non-terminal vector edge.
@@ -1868,51 +1208,17 @@ impl DdPackage {
         // Hash the borrowed parts so a cache hit allocates nothing; the
         // owned key is only built on a miss.
         let matrix = gates::matrix_bits(u);
-        let n_qubits = self.n_qubits as u32;
-        let hash = fx_hash(&(&matrix, n_qubits, target as u32, controls));
+        let hash = fx_hash(&(&matrix, target as u32, controls));
         let hit = self.gate_cache.get_by(hash, |k| {
-            k.matrix == matrix
-                && k.n_qubits == n_qubits
-                && k.target == target as u32
-                && k.controls == controls
+            k.matrix == matrix && k.target == target as u32 && k.controls == controls
         });
         if let Some(cached) = hit {
             return cached;
-        }
-        // On a shared store, consult the exact L2 map: a diagram another
-        // workspace already built is canonical here too, so it can be
-        // adopted (and promoted into the lossy L1) without rebuilding.
-        if self.shared.is_some() {
-            let key = GateKey {
-                matrix,
-                n_qubits,
-                target: target as u32,
-                controls: controls.to_vec(),
-            };
-            if let Some(cached) = self
-                .shared
-                .as_mut()
-                .expect("shared workspace")
-                .gate_get(&key)
-            {
-                self.gate_cache.insert_hashed(hash, key, cached);
-                return cached;
-            }
-            let e = self.build_gate(u, target, controls);
-            if self.exceeded.is_none() {
-                self.shared
-                    .as_mut()
-                    .expect("shared workspace")
-                    .gate_insert(key.clone(), e);
-                self.gate_cache.insert_hashed(hash, key, e);
-            }
-            return e;
         }
         let e = self.build_gate(u, target, controls);
         if self.exceeded.is_none() {
             let key = GateKey {
                 matrix,
-                n_qubits,
                 target: target as u32,
                 controls: controls.to_vec(),
             };
@@ -2096,17 +1402,11 @@ impl DdPackage {
     // Dense terminal-case kernels
     // ------------------------------------------------------------------
 
-    /// Batch-interns `values`, appending one index per value to `out`.
-    ///
-    /// Private packages use [`ComplexTable::lookup_batch`]; shared
-    /// workspaces publish through the store, paying the table lock once per
-    /// batch instead of once per weight. Either way the index sequence is
+    /// Batch-interns `values` through [`ComplexTable::lookup_batch`],
+    /// appending one index per value to `out`. The index sequence is
     /// identical to interning the values one at a time.
     pub fn intern_batch(&mut self, values: &[Complex], out: &mut Vec<CIdx>) {
-        match &mut self.shared {
-            None => self.ctab.lookup_batch(values, out),
-            Some(handle) => handle.intern_batch(values, out),
-        }
+        self.ctab.lookup_batch(values, out);
     }
 
     /// Expands the *node function* of a vector edge (top weight included)
@@ -2213,10 +1513,7 @@ impl DdPackage {
     fn intern_scratch(&mut self, s: &mut DenseScratch) {
         let DenseScratch { vals, idxs, .. } = s;
         idxs.clear();
-        match &mut self.shared {
-            None => self.ctab.lookup_batch(vals, idxs),
-            Some(handle) => handle.intern_batch(vals, idxs),
-        }
+        self.ctab.lookup_batch(vals, idxs);
     }
 
     /// Rebuilds a normalized vector DD from batch-interned amplitudes
@@ -2910,8 +2207,6 @@ impl DdPackage {
 impl Drop for DdPackage {
     fn drop(&mut self) {
         // Fold the lifetime cache counters into the process-wide registry.
-        // The SharedHandle (if any) flushes its own counters in its Drop,
-        // which runs after this as a field of the package.
         self.fold_cache_counters();
     }
 }
@@ -2936,9 +2231,8 @@ fn mark_vector(nodes: &[VNode], marks: &mut [bool], id: NodeId) {
 
 /// Computes the live set of the complex table for compaction: the canonical
 /// constants, every weight referenced by a surviving node, the weights of
-/// protected edges (`wroots`, possibly merged over several workspaces at a
-/// barrier) and the top weights of every root edge (operands, identity and
-/// gate caches, published parked-workspace edges).
+/// protected edges (`wroots`) and the top weights of every root edge
+/// (operands, identity and gate caches).
 fn mark_weights(
     vnodes: &[VNode],
     mnodes: &[MNode],
@@ -3544,75 +2838,6 @@ mod tests {
             }
         }
         assert_eq!(p.limit_exceeded(), Some(LimitExceeded::Deadline));
-    }
-
-    #[test]
-    fn abandoned_barrier_round_lowers_the_flag_and_moves_on() {
-        // Dropping the round guard without completing it (the abort path,
-        // and what a panic unwind does) must lower `gc_requested` and
-        // advance the request id without touching the generation; a
-        // completed round advances the generation instead.
-        let store = SharedStore::new();
-        let (request_before, generation_before) = {
-            let barrier = crate::store::lock(&store.barrier);
-            (barrier.request, barrier.generation)
-        };
-        let round = BarrierRound::begin(&store);
-        assert!(store.gc_requested.load(Ordering::Acquire));
-        drop(round);
-        assert!(!store.gc_requested.load(Ordering::Acquire));
-        {
-            let barrier = crate::store::lock(&store.barrier);
-            // begin() opened request N+1; the abandonment bumped it again
-            // so a workspace parked on N+1 stops waiting.
-            assert_eq!(barrier.request, request_before + 2);
-            assert_eq!(barrier.generation, generation_before);
-        }
-        let round = BarrierRound::begin(&store);
-        round.complete();
-        let barrier = crate::store::lock(&store.barrier);
-        assert!(!store.gc_requested.load(Ordering::Acquire));
-        assert_eq!(barrier.generation, generation_before + 1);
-    }
-
-    #[test]
-    fn parked_workspaces_survive_an_abandoned_round() {
-        use std::sync::atomic::AtomicBool;
-        // A worker parked at the barrier must resume — with its diagrams
-        // intact — when the collector abandons the round instead of
-        // completing it (timeout abort, or a collector panic).
-        let store = SharedStore::new();
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let worker = {
-                let store = Arc::clone(&store);
-                let done = &done;
-                scope.spawn(move || {
-                    let mut ws = store.workspace(4);
-                    let mut state = ws.zero_state();
-                    let mut i = 0u64;
-                    while !done.load(Ordering::Acquire) {
-                        let angle = 0.1 + (i % 97) as f64;
-                        state = ws.apply_gate(state, &gates::ry(angle), (i % 4) as usize, &[]);
-                        i += 1;
-                    }
-                    ws.norm_sqr(state)
-                })
-            };
-            let round = BarrierRound::begin(&store);
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                if !crate::store::lock(&store.barrier).published.is_empty() {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "worker never parked");
-                std::thread::yield_now();
-            }
-            drop(round); // the collector "dies" with the worker parked
-            done.store(true, Ordering::Release);
-            let norm = worker.join().expect("worker survived the dead round");
-            assert!((norm - 1.0).abs() < 1e-9);
-        });
     }
 
     #[test]

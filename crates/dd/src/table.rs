@@ -239,10 +239,7 @@ impl ComplexTable {
         self.live_len() <= 2
     }
 
-    /// The raw value in slot `i` (freed slots hold a NaN sentinel). Used by
-    /// shared workspaces to refresh one mirror entry; the NaN sentinel is
-    /// what lets a mirror detect a slot that was freed (and possibly
-    /// recycled) by a compaction it did not witness.
+    /// The raw value in slot `i` (freed slots hold a NaN sentinel).
     #[inline]
     pub(crate) fn slot(&self, i: usize) -> Complex {
         Complex::new(self.re[i], self.im[i])
@@ -253,11 +250,6 @@ impl ComplexTable {
     /// accumulating weights that no live diagram references. Indices of
     /// marked entries are stable across the compaction. Returns the number
     /// of freed slots.
-    ///
-    /// On a shared store this runs behind the GC barrier with every other
-    /// workspace parked; the parked workspaces invalidate their value
-    /// mirrors on release (the mark set spans *all* workspaces' roots, so
-    /// every index they can still reach stays stable).
     ///
     /// The canonical constants `0` and `1` are always kept, and indices
     /// beyond `marked.len()` are treated as unmarked.
@@ -443,6 +435,23 @@ mod tests {
         assert_eq!(out[0], out[1]);
         assert_eq!(out[0], out[2]);
         assert_eq!(t.live_len(), 3);
+    }
+
+    #[test]
+    fn retain_marked_keeps_indices_stable_and_recycles_free_slots() {
+        let mut t = ComplexTable::new();
+        let keep = t.lookup(Complex::real(0.25));
+        let dead = t.lookup(Complex::real(0.75));
+        let mut marked = vec![false; t.len()];
+        marked[keep.index()] = true;
+        assert_eq!(t.retain_marked(&marked), 1);
+        // The kept index is stable; the dead slot is a NaN sentinel.
+        assert!(t.slot(keep.index()).approx_eq(Complex::real(0.25)));
+        assert!(t.slot(dead.index()).re.is_nan());
+        // The freed slot is recycled by the next insert.
+        assert_eq!(t.lookup(Complex::new(0.125, 0.5)), dead);
+        // And the kept value still resolves to its old index.
+        assert_eq!(t.lookup(Complex::real(0.25)), keep);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! registry and a structured JSON-lines tracer.
 //!
 //! The crate exists so the hot layers (`dd`, `portfolio`) can answer *why*
-//! questions — why is the shared store slower on small miters, where does a
-//! barrier GC spend its time, which scheme actually won — without paying for
+//! questions — where does a race spend its time, how often does garbage
+//! collection run, which scheme actually won — without paying for
 //! the answer when nobody is asking. Two halves:
 //!
 //! * [`metrics`] — process-wide counters and log₂ histograms with static IDs.

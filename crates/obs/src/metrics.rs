@@ -40,7 +40,7 @@ pub struct Hist(usize);
 /// repeat it instead of re-inventing an honest framing.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricDef {
-    /// Stable dotted name (`dd.gc.barrier_deferrals`).
+    /// Stable dotted name (`dd.gc.reclaimed`).
     pub name: &'static str,
     /// Value unit.
     pub unit: Unit,
@@ -69,32 +69,22 @@ catalog! {
     DD_COMPUTE_LOOKUPS = ("dd.compute.lookups", Unit::Count, "folded when a package drops; a live package's counts are invisible until then");
     /// Compute-cache hits, folded at package drop.
     DD_COMPUTE_HITS = ("dd.compute.hits", Unit::Count, "hits on lossy direct-mapped caches; a high rate can mean a small working set, not a good cache");
-    /// Gate-DD cache lookups (L1 private + L2 shared), folded at package drop.
-    DD_GATE_LOOKUPS = ("dd.gate.lookups", Unit::Count, "counts both private-L1 and shared-L2 probes as one lookup");
+    /// Gate-DD cache lookups, folded at package drop.
+    DD_GATE_LOOKUPS = ("dd.gate.lookups", Unit::Count, "lookups of a lossy cache: an evicted diagram is rebuilt and looked up again, so a count can exceed the distinct gates of a circuit");
     /// Gate-DD cache hits, folded at package drop.
     DD_GATE_HITS = ("dd.gate.hits", Unit::Count, "repeated single-gate circuits hit ~100% regardless of cache quality");
     /// Unique-table intern calls that found an existing node, folded at package drop.
-    DD_UNIQUE_HITS = ("dd.unique.hits", Unit::Count, "includes same-thread re-interns; see dd.unique.cross_thread_hits for actual sharing");
-    /// Intern hits on a node first interned by a *different* thread.
-    DD_CROSS_THREAD_HITS = ("dd.unique.cross_thread_hits", Unit::Count, "attribution is by first-interner; a node both threads would have built counts for neither after the race");
-    /// Garbage collections (any kind: private, sole-attachment, barrier).
+    DD_UNIQUE_HITS = ("dd.unique.hits", Unit::Count, "counts re-interns within one package; a high count means repeated construction, not reuse across schemes");
+    /// Retired: intern hits on a node another thread interned first.
+    DD_CROSS_THREAD_HITS = ("dd.unique.cross_thread_hits", Unit::Count, "always 0: every scheme runs on private packages now; kept because the benchmark harness reads it");
+    /// Garbage collections.
     DD_GC_RUNS = ("dd.gc.runs", Unit::Count, "a high count can mean healthy steady-state pressure or a thrashing threshold — check reclaimed/run");
-    /// Barrier (stop-the-world) shared-store collections that completed.
-    DD_GC_BARRIER_RUNS = ("dd.gc.barrier_runs", Unit::Count, "only completed rounds; aborted rounds are dd.gc.barrier_deferrals");
-    /// Barrier rounds abandoned because a workspace failed to park within BARRIER_PATIENCE.
-    DD_GC_BARRIER_DEFERRALS = ("dd.gc.barrier_deferrals", Unit::Count, "a deferral doubles the collector's threshold, so one deferral changes all later GC timing");
     /// DD nodes reclaimed by garbage collection.
     DD_GC_RECLAIMED = ("dd.gc.reclaimed", Unit::Count, "nodes, not bytes; vector and matrix nodes differ 2x in edge count");
     /// Complex-table entries reclaimed by compaction during GC.
     DD_CTAB_COMPACTED = ("dd.ctab.compacted", Unit::Count, "entries, not bytes; compaction also rehashes survivors, which this does not count");
-    /// Time threads spent stopped at the GC barrier (parked workspaces + the waiting collector).
-    DD_GC_BARRIER_WAIT_NS = ("dd.gc.barrier_wait_ns", Unit::Nanos, "sums across threads: 4 threads parked 1ms each report 4ms against <=1ms of wall clock");
-    /// Shared-store shard/gate/complex lock acquisitions that had to block.
-    DD_SHARD_WAITS = ("dd.store.shard_waits", Unit::Count, "a blocked try_lock; says nothing about how long the wait was — see shard_contention_ns");
-    /// Time spent blocked acquiring shared-store shard/gate/complex locks.
-    DD_SHARD_CONTENTION_NS = ("dd.store.shard_contention_ns", Unit::Nanos, "measured only on the blocking path; uncontended acquisitions contribute zero even though they also cost cycles");
-    /// Thread-local mirror invalidations (a GC generation bump forced a full mirror rebuild).
-    DD_MIRROR_INVALIDATIONS = ("dd.store.mirror_invalidations", Unit::Count, "each invalidation silently discards memo tables too; the cost shows up later as cache misses");
+    /// Retired: time spent blocked on shared-store locks.
+    DD_SHARD_CONTENTION_NS = ("dd.store.shard_contention_ns", Unit::Nanos, "always 0: private packages take no locks; kept because the benchmark harness reads it");
     /// Portfolio races executed (one per verified pair).
     PF_RACES = ("portfolio.races", Unit::Count, "counts sequential tiny-instance plans as races too");
     /// Scheme launches across all races (primary + escalation waves).
@@ -107,10 +97,6 @@ catalog! {
     PF_ESCALATIONS_DRAIN = ("portfolio.escalations.drain", Unit::Count, "drain escalations indict the prediction, stall escalations may only indict the deadline");
     /// Batch pairs verified.
     BATCH_PAIRS = ("batch.pairs", Unit::Count, "includes pairs that errored during parse; see the report's failed count");
-    /// Warm store checkouts (a pooled store of the right width existed).
-    BATCH_WARM_CHECKOUTS = ("batch.warm_checkouts", Unit::Count, "warm means reused, not faster: a bloated warm store can lose to a cold one");
-    /// Cold store checkouts (a fresh store had to be built).
-    BATCH_COLD_CHECKOUTS = ("batch.cold_checkouts", Unit::Count, "first pair of every width is necessarily cold; the interesting signal is colds after warm-up");
     /// Process resolved the AVX2 kernel backend (at most 1 per process).
     DD_KERNEL_BACKEND_AVX2 = ("dd.kernels.backend_avx2", Unit::Count, "records the dispatch decision, not usage: a process can select AVX2 and never run a single kernel");
     /// Process resolved the scalar kernel backend (at most 1 per process).
@@ -121,12 +107,6 @@ catalog! {
     DD_BATCH_INTERNED = ("dd.ctab.batch_interned", Unit::Count, "counts weights, not batches; zero/one shortcuts and memo hits resolved before the table lock are included");
     /// Gate-matrix phase factors served from the precomputed twiddle table.
     DD_TWIDDLE_HITS = ("dd.gates.twiddle_hits", Unit::Count, "only cold gate-DD builds reach this path; a warm gate cache makes the count tiny regardless of the table's value");
-    /// Generation-snapshot pins taken by shared workspaces (attach + re-pins), folded at package drop.
-    DD_EPOCH_PINS = ("dd.store.epoch_pins", Unit::Count, "one pin per attach plus one per collection crossed; a high count means frequent GC, not expensive reads — pinning is an Arc clone");
-    /// Generation snapshots retired by a collection publishing a successor.
-    DD_RETIRED_GENERATIONS = ("dd.store.retired_generations", Unit::Count, "equals completed shared collections; retirement is not reclamation — a pinned generation lives on until its last reader moves");
-    /// Bytes of retired generations whose reclamation was deferred past the publish.
-    DD_DEFERRED_RECLAIM_BYTES = ("dd.store.deferred_reclaim_bytes", Unit::Count, "a running total of bytes that *entered* deferral, never decremented when freed; it bounds transient overhead, not live memory");
     /// Requests admitted by the verification service (queued or dispatched).
     SERVICE_REQUESTS = ("service.requests", Unit::Count, "admitted is not completed: cancelled and drain-rejected-later requests count the same as served ones");
     /// Running sum of the admission queue depth, sampled at each admission.
@@ -139,8 +119,6 @@ catalog! {
     CHAIN_REQUESTS = ("chain.requests", Unit::Count, "a chain that refutes at step 1 and one that verifies 5 steps both count once; see chain.steps for work done");
     /// Adjacent-pair verifications executed inside chains.
     CHAIN_STEPS = ("chain.steps", Unit::Count, "steps verified, not steps requested: a refuted or errored chain stops early and its remaining steps never count");
-    /// Between-request warm-store prunes skipped because the next queued request reuses the same width.
-    BATCH_POOL_GC_SKIPS = ("batch.pool_gc_skips", Unit::Count, "a skip trusts the submitter's width hint; a wrong hint skips a prune for a pair that never materialises at that width");
 }
 
 macro_rules! hist_catalog {
@@ -161,10 +139,8 @@ macro_rules! hist_catalog {
 }
 
 hist_catalog! {
-    /// Per-workspace park duration at a GC barrier.
-    HIST_GC_PARK_NS = ("dd.gc.park_ns", "log2 buckets: the p99 reported is a bucket upper bound, up to 2x the true value");
-    /// Full barrier-GC round duration (request to release), collector's view.
-    HIST_GC_ROUND_NS = ("dd.gc.round_ns", "collector wall clock; parked workspaces may resume slightly later than release");
+    /// Retired: per-thread park duration at a shared-store GC barrier.
+    HIST_GC_PARK_NS = ("dd.gc.park_ns", "always empty: garbage collection never waits on another thread now; kept because the benchmark harness reads it");
     /// Wall-clock time from race start to first conclusive verdict.
     HIST_VERDICT_NS = ("portfolio.verdict_ns", "excludes the cancellation drain, which the pair still pays before its report is final");
     /// Service request duration, dispatch to outcome (queue wait excluded).

@@ -8,7 +8,7 @@
 //!   threads are directly comparable),
 //! * `thread` — a small stable per-thread ID,
 //! * `ev` — `"event"`, `"span_start"` or `"span_end"`,
-//! * `kind` — the dotted event name (`gc.barrier`, `scheme.launch`, …),
+//! * `kind` — the dotted event name (`gc.private`, `scheme.launch`, …),
 //! * the ambient [`Context`] — `pair`, `pair_name`, `scheme` and the
 //!   enclosing span ID as `parent` — plus any call-site fields.
 //!

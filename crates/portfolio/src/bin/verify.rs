@@ -6,15 +6,15 @@
 //! verify --chain a.qasm,b.qasm,c.qasm [options]
 //!
 //! `--chain` verifies one compilation pipeline pass-by-pass (adjacent
-//! snapshots, in order, comma-separated) on one warm store; repeat the
-//! flag for several pipelines. A refutation names the guilty pass
+//! snapshots, in order, comma-separated); repeat the flag for several
+//! pipelines. A refutation names the guilty pass
 //! (`chain:step2` style). Manifests mix freely: a `chains` array next to
 //! `pairs` does the same thing (see `portfolio::batch`).
 //!
 //! options:
 //!   --out FILE        write the JSON report to FILE (default: stdout)
-//!   --workers N       pair-level worker threads (default: cores / 4)
-//!   --node-limit N    per-scheme decision-diagram node budget
+//!   --workers N       pair-level worker threads (default: cores / 4; N > 0)
+//!   --node-limit N    per-scheme decision-diagram node budget (N > 0)
 //!   --leaf-limit N    extraction leaf budget for the fixed-input scheme
 //!   --deadline SECS   wall-clock deadline per pair (fractional seconds ok)
 //!   --stats-file FILE persistent scheme telemetry: loaded before the batch,
@@ -26,34 +26,24 @@
 //!   --policy P        race | predicted — force the launch policy
 //!                     (predicted without --stats-file plans from an empty
 //!                     store, i.e. races)
-//!   --store-shelves N most register widths the warm-store pool retains
-//!                     (LRU-evicted beyond that; default 4)
-//!   --private-packages race schemes on private DD packages, never a shared
-//!                     store (for sharing/contention comparisons). Without
-//!                     it the *scheduler* decides per pair: the race policy
-//!                     always shares, the predicted policy shares only when
-//!                     the bucket's recorded sharing telemetry says it pays
-//!                     (the decision+reason land in each pair's metrics
-//!                     block and the race.plan trace event)
 //!   --dense-cutoff N  decision-diagram level at or below which the mat·vec
 //!                     apply and vector-add recursions drop to the dense SoA
 //!                     kernels — matrix·matrix recursions always stay
 //!                     node-at-a-time (0 disables the dense path; default 3,
 //!                     clamped to 6)
-//!   --warm-stores     keep one shared store per register width alive
-//!                     across pairs (default; a barrier GC between pairs
-//!                     bounds the carry-over)
-//!   --cold-stores     create a fresh store per pair instead
 //!   --trace-file FILE write a structured JSONL trace of the run: pair and
 //!                     race spans, scheme launches, verdicts, cancellations,
-//!                     escalations, warm-store and GC-barrier activity, all
-//!                     tagged with pair/scheme/span correlation IDs. Off by
-//!                     default and free when off.
+//!                     escalations and garbage collections, all tagged with
+//!                     pair/scheme/span correlation IDs. Off by default and
+//!                     free when off.
 //!   --metrics         print the folded hot-path metric counters (cache hit
-//!                     rates, GC and contention totals) to stderr after the
-//!                     batch (implied by --trace-file)
+//!                     rates, GC totals) to stderr after the batch (implied
+//!                     by --trace-file)
 //!   --compact         emit compact instead of pretty-printed JSON
 //! ```
+//!
+//! Every scheme of a race runs on its own thread with its own private
+//! decision-diagram packages, freed when the race ends.
 //!
 //! The exit code is 0 when every pair verified as equivalent, 1 when any
 //! pair was non-equivalent or failed, and 2 on usage errors.
@@ -74,9 +64,6 @@ struct Args {
     deadline: Option<f64>,
     stats_file: Option<PathBuf>,
     policy: Option<String>,
-    store_shelves: Option<usize>,
-    private_packages: bool,
-    warm_stores: bool,
     dense_cutoff: Option<u32>,
     trace_file: Option<PathBuf>,
     metrics: bool,
@@ -95,9 +82,6 @@ fn parse_args() -> Result<Args, String> {
         deadline: None,
         stats_file: None,
         policy: None,
-        store_shelves: None,
-        private_packages: false,
-        warm_stores: true,
         dense_cutoff: None,
         trace_file: None,
         metrics: false,
@@ -114,19 +98,9 @@ fn parse_args() -> Result<Args, String> {
             "--dir" => args.dir = Some(PathBuf::from(value("--dir")?)),
             "--chain" => args.chains.push(value("--chain")?),
             "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--workers" => {
-                args.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "invalid --workers")?,
-                )
-            }
+            "--workers" => args.workers = Some(positive("--workers", value("--workers")?)?),
             "--node-limit" => {
-                args.node_limit = Some(
-                    value("--node-limit")?
-                        .parse()
-                        .map_err(|_| "invalid --node-limit")?,
-                )
+                args.node_limit = Some(positive("--node-limit", value("--node-limit")?)?);
             }
             "--leaf-limit" => {
                 args.leaf_limit = Some(
@@ -154,24 +128,12 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.policy = Some(policy);
             }
-            "--store-shelves" => {
-                let shelves: usize = value("--store-shelves")?
-                    .parse()
-                    .map_err(|_| "invalid --store-shelves")?;
-                if shelves == 0 {
-                    return Err("--store-shelves must be at least 1".to_string());
-                }
-                args.store_shelves = Some(shelves);
-            }
-            "--private-packages" => args.private_packages = true,
             "--dense-cutoff" => {
                 let cutoff: u32 = value("--dense-cutoff")?
                     .parse()
                     .map_err(|_| "--dense-cutoff must be a non-negative integer".to_string())?;
                 args.dense_cutoff = Some(cutoff);
             }
-            "--warm-stores" => args.warm_stores = true,
-            "--cold-stores" => args.warm_stores = false,
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--metrics" => args.metrics = true,
             "--compact" => args.compact = true,
@@ -180,9 +142,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: verify (--manifest FILE | --dir DIR | --chain A,B,C...) \
                      [--out FILE] [--workers N] \
                      [--node-limit N] [--leaf-limit N] [--deadline SECS] \
-                     [--stats-file FILE] [--policy race|predicted] [--store-shelves N] \
-                     [--private-packages] [--dense-cutoff N] \
-                     [--warm-stores | --cold-stores] \
+                     [--stats-file FILE] [--policy race|predicted] [--dense-cutoff N] \
                      [--trace-file FILE] [--metrics] [--compact]"
                 );
                 std::process::exit(0);
@@ -197,6 +157,14 @@ fn parse_args() -> Result<Args, String> {
         return Err("exactly one of --manifest, --dir or --chain is required".to_string());
     }
     Ok(args)
+}
+
+/// Parses a flag value that must be a positive integer.
+fn positive(flag: &str, value: String) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) | Err(_) => Err(format!("{flag} must be a positive integer, got `{value}`")),
+        Ok(n) => Ok(n),
+    }
 }
 
 /// Builds a chains-only manifest from repeated `--chain A,B,C` flags.
@@ -277,17 +245,15 @@ fn main() {
 
     let mut options = BatchOptions::default();
     if let Some(workers) = args.workers {
-        options.workers = workers.max(1);
+        options.workers = workers;
     }
     options.portfolio.node_limit = args.node_limit;
     options.portfolio.leaf_limit = args.leaf_limit;
     options.portfolio.deadline = args.deadline.map(std::time::Duration::from_secs_f64);
-    options.portfolio.shared_package = !args.private_packages;
     if let Some(cutoff) = args.dense_cutoff {
         options.portfolio.configuration.memory.dense_cutoff = cutoff;
         options.portfolio.extraction.memory.dense_cutoff = cutoff;
     }
-    options.warm_stores = args.warm_stores;
     // A stats file implies the predicted policy (that is its point); an
     // explicit --policy always wins. Prediction with a cold store degrades
     // to racing inside the scheduler, so the combination is always safe.
@@ -298,9 +264,6 @@ fn main() {
         (Some(other), _) => unreachable!("validated by parse_args: {other}"),
     };
     options.stats = args.stats_file;
-    if let Some(shelves) = args.store_shelves {
-        options.store_shelves = shelves;
-    }
 
     if let Some(path) = &args.trace_file {
         if let Err(error) = obs::trace::install_file(path) {
@@ -341,12 +304,10 @@ fn main() {
                 chain.steps_verified, chain.steps_total
             ),
             (None, None) => format!(
-                "{} over {} steps in {:.4}s ({} chain carry-over hits, {} shelf hits)",
+                "{} over {} steps in {:.4}s",
                 chain.verdict,
                 chain.steps_verified,
                 chain.total_time.as_secs_f64(),
-                chain.chain_hits,
-                chain.shelf_hits,
             ),
         };
         eprintln!("{:<24} {status}", chain.name);

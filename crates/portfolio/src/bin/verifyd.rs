@@ -3,28 +3,29 @@
 //! Speaks the newline-delimited JSON-RPC protocol of [`portfolio::wire`]
 //! over stdio (the default; one client) or a Unix socket (`--socket PATH`;
 //! concurrent clients, one thread per connection). All clients share one
-//! [`portfolio::service::VerificationService`]: the warm store pool, the
-//! folded telemetry and the admission queue are daemon-global, so a second
-//! client's QFT-12 request hits the canonical structure the first client
-//! paid to build.
+//! [`portfolio::service::VerificationService`]: the folded telemetry and the
+//! admission queue are daemon-global. Decision diagrams are not: each race
+//! runs one private package per scheme thread and frees it when it ends.
 //!
 //! ```text
 //! verifyd [--socket PATH] [--workers N] [--max-queue N]
 //!         [--deadline SECS] [--node-limit N] [--policy race|predicted]
-//!         [--stats-file FILE] [--store-shelves N] [--cold-stores]
-//!         [--private-packages] [--trace-file FILE] [--max-frame-bytes N]
+//!         [--stats-file FILE] [--trace-file FILE] [--max-frame-bytes N]
 //! ```
+//!
+//! `--workers` and `--node-limit` take positive integers; 0 is a usage
+//! error.
 //!
 //! Methods: `verify-pair`, `verify-chain`, `verify-batch`, `stats`,
 //! `drain`, `shutdown` (wire details in [`portfolio::wire`]). Responses are
 //! written in *completion* order — correlate by `id`. Every verify response
 //! carries the `obs::metrics` delta folded around its race. A client that
 //! disconnects with requests outstanding cancels them: each request's
-//! token unwinds its in-flight race and the store goes back to the pool.
+//! token unwinds its in-flight race.
 //!
 //! `verify-chain` takes a compilation pipeline — `steps` is an ordered
 //! array of `{pass?, path|text}` snapshots — and verifies it pass-by-pass
-//! on one warm store ([`portfolio::chain`]); the response carries per-step
+//! ([`portfolio::chain`]); the response carries per-step
 //! reports and, on refutation, the `guilty_pass`.
 //!
 //! `drain` stops admission, finishes the backlog (all connections), saves
@@ -53,9 +54,6 @@ struct Args {
     node_limit: Option<usize>,
     policy: Option<String>,
     stats_file: Option<PathBuf>,
-    store_shelves: Option<usize>,
-    warm_stores: bool,
-    private_packages: bool,
     trace_file: Option<PathBuf>,
     max_frame: usize,
 }
@@ -69,9 +67,6 @@ fn parse_args() -> Result<Args, String> {
         node_limit: None,
         policy: None,
         stats_file: None,
-        store_shelves: None,
-        warm_stores: true,
-        private_packages: false,
         trace_file: None,
         max_frame: wire::MAX_FRAME_BYTES,
     };
@@ -83,13 +78,7 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--socket" => args.socket = Some(PathBuf::from(value("--socket")?)),
-            "--workers" => {
-                args.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers must be a positive integer".to_string())?,
-                );
-            }
+            "--workers" => args.workers = Some(positive("--workers", value("--workers")?)?),
             "--max-queue" => {
                 args.max_queue = Some(
                     value("--max-queue")?
@@ -107,11 +96,7 @@ fn parse_args() -> Result<Args, String> {
                 args.deadline = Some(seconds);
             }
             "--node-limit" => {
-                args.node_limit = Some(
-                    value("--node-limit")?
-                        .parse()
-                        .map_err(|_| "--node-limit must be a positive integer".to_string())?,
-                );
+                args.node_limit = Some(positive("--node-limit", value("--node-limit")?)?);
             }
             "--policy" => {
                 let policy = value("--policy")?;
@@ -123,15 +108,6 @@ fn parse_args() -> Result<Args, String> {
                 args.policy = Some(policy);
             }
             "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
-            "--store-shelves" => {
-                args.store_shelves = Some(
-                    value("--store-shelves")?
-                        .parse()
-                        .map_err(|_| "--store-shelves must be a positive integer".to_string())?,
-                );
-            }
-            "--cold-stores" => args.warm_stores = false,
-            "--private-packages" => args.private_packages = true,
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--max-frame-bytes" => {
                 args.max_frame = value("--max-frame-bytes")?
@@ -145,14 +121,21 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!(
                     "unknown flag `{other}`; usage: verifyd [--socket PATH] [--workers N] \
                      [--max-queue N] [--deadline SECS] [--node-limit N] \
-                     [--policy race|predicted] [--stats-file FILE] [--store-shelves N] \
-                     [--cold-stores] [--private-packages] [--trace-file FILE] \
+                     [--policy race|predicted] [--stats-file FILE] [--trace-file FILE] \
                      [--max-frame-bytes N]"
                 ));
             }
         }
     }
     Ok(args)
+}
+
+/// Parses a flag value that must be a positive integer.
+fn positive(flag: &str, value: String) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) | Err(_) => Err(format!("{flag} must be a positive integer, got `{value}`")),
+        Ok(n) => Ok(n),
+    }
 }
 
 /// Daemon-global state shared by every connection thread.
@@ -680,7 +663,7 @@ fn main() {
 
     let defaults = ServiceConfig::default();
     let mut config = ServiceConfig {
-        workers: args.workers.map_or(defaults.workers, |w| w.max(1)),
+        workers: args.workers.unwrap_or(defaults.workers),
         ..defaults
     };
     if let Some(max_queue) = args.max_queue {
@@ -688,11 +671,6 @@ fn main() {
     }
     config.portfolio.deadline = args.deadline.map(Duration::from_secs_f64);
     config.portfolio.node_limit = args.node_limit;
-    config.portfolio.shared_package = !args.private_packages;
-    config.warm_stores = args.warm_stores;
-    if let Some(shelves) = args.store_shelves {
-        config.store_shelves = shelves;
-    }
     // Like `verify`: a stats file implies the predicted policy unless an
     // explicit --policy overrides; prediction over an empty store degrades
     // to racing inside the scheduler.

@@ -3,8 +3,9 @@
 //! The engine owns no policy. It asks the [scheduler](crate::scheduler) for
 //! a [`SchedulePlan`] and executes it — sequentially on the calling thread,
 //! or as a thread race with an optional held-back escalation wave — wiring
-//! up budgets, cancellation, the shared decision-diagram store and per-
-//! scheme telemetry along the way. Which schemes launch, in what order and
+//! up budgets, cancellation and per-scheme telemetry along the way. Every
+//! launched scheme builds its diagrams in private decision-diagram packages
+//! on its own thread; the racing threads share only the cancel token. Which schemes launch, in what order and
 //! with what memory hints is entirely the plan's business; what a scheme
 //! *does* is its [registry descriptor](crate::scheme::SchemeDescriptor)'s.
 
@@ -12,11 +13,11 @@ use crate::scheduler::{self, SchedulePlan, SchedulePolicy};
 use crate::scheme::{applicable_descriptors, Scheme};
 use crate::telemetry::TelemetryStore;
 use circuit::QuantumCircuit;
-use dd::{Budget, CancelToken, SharedStore, SharedStoreStats};
+use dd::{Budget, CancelToken};
 use qcec::{Configuration, Equivalence};
 use sim::ExtractionConfig;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of a portfolio run.
@@ -35,28 +36,15 @@ pub struct PortfolioConfig {
     /// winners first and escalate on stall. Ignored when
     /// [`schemes`](Self::schemes) is explicit.
     pub policy: SchedulePolicy,
-    /// Optional per-scheme decision-diagram node budget. The budget keeps
-    /// its per-scheme meaning under [`shared_package`](Self::shared_package):
-    /// each scheme is metered on the nodes *it* allocated into the shared
-    /// store, so reusing a competitor's node costs nothing.
+    /// Optional per-scheme decision-diagram node budget, metered on the
+    /// live nodes of each of the scheme's packages. `Some(0)` is rejected by
+    /// both front-ends: every scheme would trip it on its first node.
     pub node_limit: Option<usize>,
     /// Optional leaf budget for the fixed-input scheme.
     pub leaf_limit: Option<usize>,
     /// Optional wall-clock deadline per race, enforced inside decision-
     /// diagram allocation (reported as a scheme error when it trips).
     pub deadline: Option<Duration>,
-    /// Race all schemes against one shared decision-diagram store
-    /// ([`dd::SharedStore`]) instead of private per-scheme packages, so the
-    /// miter, simulative and extraction walkers reuse each other's gate
-    /// diagrams and subdiagrams (default: `true`). `false` is absolute —
-    /// no plan ever shares; `true` is a *ceiling*: the race policy shares
-    /// on every threaded plan, while [`SchedulePolicy::Predicted`] decides
-    /// per pair from recorded
-    /// [`SharingStats`](crate::telemetry::SharingStats) and may race a
-    /// low-payoff bucket on private packages anyway (see
-    /// [`SchedulePlan::shared`](crate::scheduler::SchedulePlan::shared)).
-    /// The sequential tiny-instance plan is unaffected either way.
-    pub shared_package: bool,
     /// Optional *external* cancellation scope for the whole run — e.g. the
     /// verification service's per-request token, tripped when the client
     /// disconnects. It is chained as the parent of every scheme budget (see
@@ -76,7 +64,6 @@ impl Default for PortfolioConfig {
             node_limit: None,
             leaf_limit: None,
             deadline: None,
-            shared_package: true,
             cancel: None,
         }
     }
@@ -132,14 +119,6 @@ pub struct SchemeReport {
     pub cache_hit_rate: Option<f64>,
     /// Decision-diagram garbage-collection runs during the scheme.
     pub gc_runs: Option<usize>,
-    /// Live nodes of the shared store as this scheme finished (`None` when
-    /// racing with private packages).
-    pub shared_nodes: Option<usize>,
-    /// Fraction of this scheme's canonical-store hits served by structure
-    /// another racing scheme built first. `None` with private packages;
-    /// always `Some` (down to `0.0` for a scheme cancelled before its first
-    /// canonical lookup — never NaN/null) when racing on a shared store.
-    pub cross_thread_hit_rate: Option<f64>,
 }
 
 /// Why a predicted run launched its reserve wave (see
@@ -188,132 +167,16 @@ impl serde::Serialize for EscalationReason {
     }
 }
 
-/// Telemetry of the shared decision-diagram store behind one portfolio race
-/// (see [`dd::SharedStoreStats`]; reported into the batch JSON as the
-/// per-pair `shared_store` block).
-///
-/// Counter fields are *per-race deltas*: a warm store kept alive by the
-/// batch driver accumulates across pairs, so each race reports the
-/// difference between its start and end snapshots. Gauges (`shared_nodes`,
-/// `peak_nodes`, `complex_entries`) are end-of-race snapshots.
+/// Retired report of the shared decision-diagram store that racing schemes
+/// used to intern into. Every scheme now runs on private packages, so
+/// [`PairReport::shared_store`](crate::batch::PairReport::shared_store) is
+/// always `None`; the type is kept because the benchmark harness reads it.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SharedStoreReport {
-    /// Live nodes when the race ended.
-    pub shared_nodes: usize,
-    /// Nodes already live when the race started: the warm carry-over a
-    /// pooled store handed this pair (`0` for a fresh store).
-    pub carried_over_nodes: usize,
-    /// Peak live nodes over the store's lifetime so far.
-    pub peak_nodes: usize,
-    /// Nodes allocated across all schemes of this race (unique-table
-    /// misses).
-    pub allocated_nodes: u64,
-    /// Canonical lookups (unique tables + shared gate cache) answered by an
-    /// existing entry.
-    pub intern_hits: u64,
-    /// Subset of `intern_hits` served by a *different* scheme's entry.
-    pub cross_thread_hits: u64,
-    /// Subset of `cross_thread_hits` served by structure predating this
-    /// race — warm cross-pair reuse.
-    pub warm_hits: u64,
-    /// Subset of `warm_hits` served by structure an *earlier step of the
-    /// same verification chain* interned (see [`crate::chain`]). The
-    /// remainder (`warm_hits − chain_hits`) predates the chain — batch
-    /// shelf reuse. Always `0` outside a chain.
+    /// Always 0: no structure carries over between chain steps.
     pub chain_hits: u64,
-    /// `cross_thread_hits / intern_hits`, the headline sharing metric.
-    /// `0.0` (never NaN or null) when the race was over before its first
-    /// canonical lookup — the JSON report must stay machine-readable.
-    pub cross_thread_hit_rate: f64,
-    /// Store-level garbage collections during this race (sole-attachment
-    /// and barrier).
-    pub gc_runs: usize,
-    /// Subset of `gc_runs` that ran as mid-race safe-point barrier
-    /// collections with the other schemes parked.
-    pub gc_barrier_runs: usize,
-    /// Barrier requests that timed out (`BARRIER_PATIENCE`) because a
-    /// racer never reached a safe point, deferring the collection.
-    pub barrier_deferrals: usize,
-    /// Time spent requesting, parking for and waiting out GC barriers,
-    /// in seconds. Sums *across* threads, so it can exceed the race's
-    /// wall-clock time.
-    pub barrier_wait_seconds: f64,
-    /// Shard/cache lock acquisitions that had to block behind another
-    /// scheme's holder (uncontended acquisitions are not counted).
-    pub shard_lock_waits: u64,
-    /// Total time schemes spent blocked on store locks, in seconds.
-    /// Sums across threads, like `barrier_wait_seconds`.
-    pub shard_contention_seconds: f64,
-    /// Workspace mirror flushes forced by collections. Pinned at `0` under
-    /// epoch-snapshot reads (workspaces re-pin instead of flushing); kept in
-    /// the report so a regression would show up on existing dashboards.
-    pub mirror_invalidations: u64,
-    /// Generation pins taken during this race: one per workspace attach
-    /// plus one per collection a workspace crossed. Pins are `Arc` clones —
-    /// a high count signals frequent GC, not expensive reads.
-    pub epoch_pins: u64,
-    /// Generations superseded by collections during this race. Retirement
-    /// is not reclamation: a pinned generation lives until its last reader
-    /// re-pins.
-    pub retired_generations: u64,
-    /// Bytes of superseded generations that *entered* deferred reclamation
-    /// during this race (still pinned by a reader when retired). A running
-    /// total, never decremented — it bounds transient overhead, not live
-    /// memory.
-    pub deferred_reclaim_bytes: u64,
-    /// Live interned complex weights at race end.
-    pub complex_entries: usize,
-}
-
-impl SharedStoreReport {
-    /// Builds the per-race report from snapshots taken at race start and
-    /// end (identical snapshots — a race that never touched the store —
-    /// yield all-zero deltas).
-    fn delta(start: &SharedStoreStats, end: &SharedStoreStats) -> Self {
-        let intern_hits = end.intern_hits.saturating_sub(start.intern_hits);
-        let cross_thread_hits = end
-            .cross_thread_hits
-            .saturating_sub(start.cross_thread_hits);
-        SharedStoreReport {
-            shared_nodes: end.live_nodes,
-            carried_over_nodes: start.live_nodes,
-            peak_nodes: end.peak_nodes,
-            allocated_nodes: end.allocated_nodes.saturating_sub(start.allocated_nodes),
-            intern_hits,
-            cross_thread_hits,
-            warm_hits: end.warm_hits.saturating_sub(start.warm_hits),
-            chain_hits: end.chain_hits.saturating_sub(start.chain_hits),
-            cross_thread_hit_rate: if intern_hits == 0 {
-                0.0
-            } else {
-                cross_thread_hits as f64 / intern_hits as f64
-            },
-            gc_runs: end.gc_runs.saturating_sub(start.gc_runs),
-            gc_barrier_runs: end.gc_barrier_runs.saturating_sub(start.gc_barrier_runs),
-            barrier_deferrals: end
-                .barrier_deferrals
-                .saturating_sub(start.barrier_deferrals),
-            barrier_wait_seconds: end.barrier_wait_ns.saturating_sub(start.barrier_wait_ns) as f64
-                / 1e9,
-            shard_lock_waits: end.shard_lock_waits.saturating_sub(start.shard_lock_waits),
-            shard_contention_seconds: end
-                .shard_contention_ns
-                .saturating_sub(start.shard_contention_ns)
-                as f64
-                / 1e9,
-            mirror_invalidations: end
-                .mirror_invalidations
-                .saturating_sub(start.mirror_invalidations),
-            epoch_pins: end.epoch_pins.saturating_sub(start.epoch_pins),
-            retired_generations: end
-                .retired_generations
-                .saturating_sub(start.retired_generations),
-            deferred_reclaim_bytes: end
-                .deferred_reclaim_bytes
-                .saturating_sub(start.deferred_reclaim_bytes),
-            complex_entries: end.complex_entries,
-        }
-    }
+    /// Always 0: private packages have no shared canonical tables.
+    pub intern_hits: u64,
 }
 
 /// Outcome of a portfolio run.
@@ -338,19 +201,6 @@ pub struct PortfolioResult {
     pub escalation: Option<EscalationReason>,
     /// Telemetry of every scheme that launched, in completion order.
     pub schemes: Vec<SchemeReport>,
-    /// Whether the run raced on a shared decision-diagram store — the
-    /// plan's per-pair decision (see
-    /// [`SchedulePlan::shared`](crate::scheduler::SchedulePlan::shared)),
-    /// not just the config default.
-    pub shared: bool,
-    /// The scheduler's stable reason tag for the sharing decision
-    /// (`"race-default"`, `"config-private"`, `"explicit-schemes"`,
-    /// `"cold-telemetry"`, `"predicted-shared"`, `"predicted-private"`).
-    pub shared_reason: &'static str,
-    /// Shared-store telemetry when the run used one
-    /// ([`PortfolioConfig::shared_package`]); `None` for private-package
-    /// races and sequential runs without a warm store.
-    pub shared_store: Option<SharedStoreReport>,
 }
 
 impl PortfolioResult {
@@ -390,8 +240,9 @@ fn conclusive(verdict: Equivalence) -> bool {
 ///
 /// This is the worker body of [`verify_portfolio`], exposed so benchmarks
 /// and tests can time individual schemes under identical conditions. The
-/// scheme uses a private decision-diagram package; see [`run_scheme_in`] to
-/// run it against a shared store.
+/// scheme body is the registry descriptor's
+/// [`runner`](crate::scheme::SchemeDescriptor::runner); this function adds
+/// timing and folds the outcome into a [`SchemeReport`].
 pub fn run_scheme(
     scheme: Scheme,
     left: &QuantumCircuit,
@@ -399,26 +250,8 @@ pub fn run_scheme(
     config: &PortfolioConfig,
     budget: &Budget,
 ) -> SchemeReport {
-    run_scheme_in(scheme, left, right, config, budget, None)
-}
-
-/// [`run_scheme`] with an optional shared decision-diagram store: the
-/// scheme's packages then attach as workspaces of `store`, interning into
-/// the same canonical node space as every other scheme racing on it.
-///
-/// The scheme body is the registry descriptor's
-/// [`runner`](crate::scheme::SchemeDescriptor::runner); this function adds
-/// timing and folds the outcome into a [`SchemeReport`].
-pub fn run_scheme_in(
-    scheme: Scheme,
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
-) -> SchemeReport {
     let start = Instant::now();
-    let outcome = (scheme.descriptor().runner)(left, right, config, budget, store);
+    let outcome = (scheme.descriptor().runner)(left, right, config, budget);
     SchemeReport {
         scheme,
         // `ProbablyEquivalent` (simulative agreement) is advisory, so it
@@ -431,42 +264,25 @@ pub fn run_scheme_in(
         peak_nodes: outcome.peak_nodes,
         cache_hit_rate: outcome.memory.and_then(|m| m.compute_hit_rate()),
         gc_runs: outcome.memory.map(|m| m.gc_runs),
-        shared_nodes: outcome
-            .memory
-            .and_then(|m| (m.shared_nodes > 0).then_some(m.shared_nodes)),
-        // A scheme racing on a shared store always reports a finite rate:
-        // a scheme cancelled before its first canonical lookup divides 0
-        // hits by 0 lookups, which must surface as 0.0 — a NaN would make
-        // the JSON report unserializable and a null look like a private
-        // race.
-        cross_thread_hit_rate: match (&outcome.memory, store) {
-            (Some(m), Some(_)) => Some(m.cross_thread_hit_rate().unwrap_or(0.0)),
-            (Some(m), None) => m.cross_thread_hit_rate(),
-            (None, Some(_)) => Some(0.0),
-            (None, None) => None,
-        },
     }
 }
 
-/// [`run_scheme_in`] hardened against scheme panics: a panicking scheme is
+/// [`run_scheme`] hardened against scheme panics: a panicking scheme is
 /// reported as failed (with the panic message as its error) instead of
-/// tearing down the whole race. Shared-store locks a panicking scheme may
-/// have poisoned are recovered by the store itself (see `dd::store`).
+/// tearing down the whole race. The scheme's packages die with its thread,
+/// so nothing it held can poison the other racers.
 fn run_scheme_caught(
     scheme: Scheme,
     left: &QuantumCircuit,
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeReport {
-    catch_scheme(scheme, store.is_some(), || {
-        run_scheme_in(scheme, left, right, config, budget, store)
-    })
+    catch_scheme(scheme, || run_scheme(scheme, left, right, config, budget))
 }
 
 /// Converts a panicking scheme body into a failed [`SchemeReport`].
-fn catch_scheme(scheme: Scheme, shared: bool, run: impl FnOnce() -> SchemeReport) -> SchemeReport {
+fn catch_scheme(scheme: Scheme, run: impl FnOnce() -> SchemeReport) -> SchemeReport {
     let start = Instant::now();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
         SchemeReport {
@@ -482,8 +298,6 @@ fn catch_scheme(scheme: Scheme, shared: bool, run: impl FnOnce() -> SchemeReport
             peak_nodes: None,
             cache_hit_rate: None,
             gc_runs: None,
-            shared_nodes: None,
-            cross_thread_hit_rate: shared.then_some(0.0),
         }
     })
 }
@@ -526,9 +340,6 @@ fn combine(
         predicted: false,
         escalation: None,
         schemes: reports,
-        shared: false,
-        shared_reason: "config-private",
-        shared_store: None,
     }
 }
 
@@ -537,10 +348,9 @@ fn combine(
 /// telemetry.
 ///
 /// Under the default [`SchedulePolicy::Race`] every applicable scheme races
-/// across `std::thread` workers against one shared decision-diagram store
-/// ([`PortfolioConfig::shared_package`]): whichever scheme builds a gate
-/// diagram or subdiagram first, the others get it as a cache hit. The
-/// workers additionally share one [`CancelToken`], so the moment a
+/// on its own `std::thread` worker. Each scheme owns private decision-
+/// diagram packages, so the race needs no locks and no cross-thread garbage
+/// collection; the workers share only one [`CancelToken`], so the moment a
 /// conclusive verdict arrives the losing schemes stop burning cores and
 /// unwind. The wall time of the whole call therefore tracks the *fastest*
 /// scheme, while the verdict quality matches the best scheme that could
@@ -561,29 +371,10 @@ pub fn verify_portfolio(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
 ) -> PortfolioResult {
-    verify_portfolio_in(left, right, config, None)
+    verify_portfolio_recorded(left, right, config, None)
 }
 
-/// [`verify_portfolio`] against an optional *warm* shared store.
-///
-/// When `warm_store` is `Some`, the run attaches to it instead of creating
-/// a fresh [`SharedStore`]: canonical nodes and the gate-diagram L2 cache
-/// left behind by earlier races (the batch driver GCs between pairs, so
-/// only GC roots carry over) are reused, reported as
-/// [`SharedStoreReport::warm_hits`]. The store's warm-reuse epoch is marked
-/// here ([`SharedStore::begin_race`]); telemetry in the result is the
-/// per-race delta. A warm store is honoured even on the sequential
-/// tiny-instance plan.
-pub fn verify_portfolio_in(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    warm_store: Option<&Arc<SharedStore>>,
-) -> PortfolioResult {
-    verify_portfolio_recorded(left, right, config, warm_store, None)
-}
-
-/// [`verify_portfolio_in`] wired to a persistent [`TelemetryStore`]: the
+/// [`verify_portfolio`] wired to a persistent [`TelemetryStore`]: the
 /// scheduler plans against the store's recorded stats (enabling
 /// [`SchedulePolicy::Predicted`] to actually predict), and every scheme
 /// report of the run is folded back in afterwards. This is the entry point
@@ -592,7 +383,6 @@ pub fn verify_portfolio_recorded(
     left: &QuantumCircuit,
     right: &QuantumCircuit,
     config: &PortfolioConfig,
-    warm_store: Option<&Arc<SharedStore>>,
     telemetry: Option<&Mutex<TelemetryStore>>,
 ) -> PortfolioResult {
     let plan = {
@@ -601,22 +391,10 @@ pub fn verify_portfolio_recorded(
         let guard = telemetry.map(|store| store.lock().unwrap_or_else(PoisonError::into_inner));
         scheduler::plan(left, right, config, guard.as_deref())
     };
-    let result = execute_plan(left, right, config, &plan, warm_store);
+    let result = execute_plan(left, right, config, &plan);
     if let Some(telemetry) = telemetry {
         let mut guard = telemetry.lock().unwrap_or_else(PoisonError::into_inner);
         guard.record_race(&plan.features, &result.schemes, result.winner);
-        // Sharing payoff is only measurable on shared races (a private race
-        // has no store to report), so those are what the per-bucket
-        // `SharingStats` accumulate; the race-everything policy keeps
-        // producing fresh samples even after a predicted-private streak.
-        if let Some(report) = &result.shared_store {
-            guard.record_sharing(
-                &plan.features,
-                report.cross_thread_hit_rate,
-                report.shard_contention_seconds,
-                result.total_time.as_secs_f64(),
-            );
-        }
         drop(guard);
         obs::trace::event(
             "telemetry.fold",
@@ -632,15 +410,9 @@ fn execute_plan(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     plan: &SchedulePlan,
-    warm_store: Option<&Arc<SharedStore>>,
 ) -> PortfolioResult {
     let cancel = CancelToken::new();
     obs::metrics::incr(obs::metrics::PF_RACES);
-    // A plan that decided against sharing must also decline the batch
-    // pool's warm store — attaching would rebuild exactly the coupling the
-    // prediction chose to avoid (the pool hands one out whenever the
-    // *config* allows sharing; the per-pair decision is the plan's).
-    let warm_store = warm_store.filter(|_| plan.shared);
     // The race span parents every scheme/GC span of this pair; workers
     // inherit it through the explicit context handoff in `spawn_scheme`.
     let race_span = obs::trace::span(
@@ -650,14 +422,6 @@ fn execute_plan(
             ("predicted", plan.predicted.into()),
             ("primary", (plan.primary.len() as u64).into()),
             ("reserve", (plan.reserve.len() as u64).into()),
-            ("warm_store", warm_store.is_some().into()),
-        ],
-    );
-    obs::trace::event(
-        "race.plan",
-        &[
-            ("shared", plan.shared.into()),
-            ("reason", plan.shared_reason.into()),
         ],
     );
 
@@ -689,10 +453,6 @@ fn execute_plan(
         .collect();
 
     if plan.sequential {
-        let before = warm_store.map(|store| {
-            store.begin_race();
-            store.stats()
-        });
         let start = Instant::now();
         let budget = make_budget();
         let mut reports = Vec::new();
@@ -710,8 +470,7 @@ fn execute_plan(
                 obs::trace::with_context(obs::trace::current_context().with_scheme(scheme.name()));
             obs::trace::event("scheme.launch", &[("wave", "sequential".into())]);
             obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
-            let report =
-                run_scheme_caught(*scheme, left, right, scheme_config, &budget, warm_store);
+            let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget);
             let conclusive = report.conclusive;
             if conclusive {
                 verdict = report.verdict;
@@ -739,28 +498,9 @@ fn execute_plan(
         }
         let mut result = combine(start, reports, verdict, winner, time_to_verdict);
         result.predicted = plan.predicted;
-        result.shared = plan.shared;
-        result.shared_reason = plan.shared_reason;
-        if let (Some(store), Some(before)) = (warm_store, before) {
-            result.shared_store = Some(SharedStoreReport::delta(&before, &store.stats()));
-        }
         finish_race(race_span, &result);
         return result;
     }
-
-    // Threaded execution: one concurrent store for the whole run — warm
-    // from the pool, or fresh — so every scheme interning the same gate
-    // diagram or subdiagram gets the other schemes' work as cache hits
-    // instead of rebuilding it. Whether a store exists at all is the
-    // *plan's* per-pair decision, not the config's global one.
-    let store = match warm_store {
-        Some(store) => Some(Arc::clone(store)),
-        None => plan.shared.then(SharedStore::new),
-    };
-    let before = store.as_ref().map(|store| {
-        store.begin_race();
-        store.stats()
-    });
 
     let start = Instant::now();
     let mut reports: Vec<SchemeReport> = Vec::with_capacity(launches.len());
@@ -812,7 +552,6 @@ fn execute_plan(
             let budget = make_budget();
             let sender = sender.clone();
             let cancel = cancel.clone();
-            let store = store.as_ref();
             let launches = &launches;
             // Captured on the coordinator, under the race span: the worker
             // installs it so its scheme span (and every dd GC span inside)
@@ -824,7 +563,7 @@ fn execute_plan(
                 obs::trace::event("scheme.launch", &[("wave", wave.into())]);
                 obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
                 let scheme_span = obs::trace::span("scheme.run", &[("wave", wave.into())]);
-                let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget, store);
+                let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget);
                 let finished_at = start.elapsed();
                 if report.conclusive {
                     // Cancel from inside the worker so losers start unwinding
@@ -859,14 +598,8 @@ fn execute_plan(
                 obs::trace::event("scheme.launch", &[("wave", "inline".into())]);
                 obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
                 let inline_span = obs::trace::span("scheme.run", &[("wave", "inline".into())]);
-                let inline_report = run_scheme_caught(
-                    *scheme,
-                    left,
-                    right,
-                    scheme_config,
-                    &make_budget(),
-                    store.as_ref(),
-                );
+                let inline_report =
+                    run_scheme_caught(*scheme, left, right, scheme_config, &make_budget());
                 let inline_finished_at = start.elapsed();
                 if inline_report.conclusive {
                     cancel.cancel();
@@ -1016,15 +749,7 @@ fn execute_plan(
 
     let mut result = combine(start, reports, verdict, winner, time_to_verdict);
     result.predicted = plan.predicted;
-    result.shared = plan.shared;
-    result.shared_reason = plan.shared_reason;
     result.escalation = escalation;
-    // Every scheme's workspaces are gone by now (the scope joined all
-    // workers), so the store's flushed counters are complete.
-    result.shared_store = match (store, before) {
-        (Some(store), Some(before)) => Some(SharedStoreReport::delta(&before, &store.stats())),
-        _ => None,
-    };
     finish_race(race_span, &result);
     result
 }
@@ -1065,9 +790,7 @@ mod tests {
 
     #[test]
     fn panicking_scheme_is_reported_as_failed() {
-        let report = catch_scheme(Scheme::Simulative, true, || {
-            panic!("miter blew up on qubit 7")
-        });
+        let report = catch_scheme(Scheme::Simulative, || panic!("miter blew up on qubit 7"));
         assert_eq!(report.scheme, Scheme::Simulative);
         assert!(!report.conclusive);
         assert!(!report.cancelled);
@@ -1075,29 +798,6 @@ mod tests {
         let error = report.error.expect("panic must surface as an error");
         assert!(error.contains("panicked"), "{error}");
         assert!(error.contains("miter blew up on qubit 7"), "{error}");
-        // Shared-store races must keep the rate finite even for a scheme
-        // that died before its first canonical lookup.
-        assert_eq!(report.cross_thread_hit_rate, Some(0.0));
-        let private = catch_scheme(Scheme::Simulative, false, || panic!("boom"));
-        assert_eq!(private.cross_thread_hit_rate, None);
-    }
-
-    #[test]
-    fn shared_store_report_delta_is_finite_on_an_untouched_store() {
-        // A race cancelled before any scheme interned anything produces
-        // identical start/end snapshots: every counter is zero and the hit
-        // rate must be 0.0, not NaN (the vendored JSON writer rejects
-        // non-finite numbers outright).
-        let stats = SharedStoreStats::default();
-        let report = SharedStoreReport::delta(&stats, &stats);
-        assert_eq!(report.intern_hits, 0);
-        assert_eq!(report.cross_thread_hit_rate, 0.0);
-        assert!(report.cross_thread_hit_rate.is_finite());
-        let json = serde_json::to_string(&report).expect("report must serialize");
-        assert!(
-            json.contains("\"cross_thread_hit_rate\":0"),
-            "rate must render as a number, not null: {json}"
-        );
     }
 
     #[test]

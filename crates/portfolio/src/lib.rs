@@ -53,21 +53,19 @@
 //!                                   │  client kills its in-flight race)
 //!                                   ▼
 //!                       engine::verify_portfolio_recorded
-//!                       warm StorePool · folded TelemetryStore · obs
+//!                       folded TelemetryStore · obs
 //! ```
 //!
 //! The service owns the state that makes a *resident* checker worth
-//! running: the warm [`batch::StorePool`] (canonical structure and the
-//! gate-DD cache survive across requests and clients), the continuously
-//! folded [`TelemetryStore`] driving the predictive scheduler, and the
-//! process-global `obs` substrate (each response carries the metrics
-//! delta folded around its race). [`service::VerificationService::submit`]
-//! applies admission control — beyond `workers + max_queue` admitted
+//! running: the continuously folded [`TelemetryStore`] driving the
+//! predictive scheduler, and the process-global `obs` substrate (each
+//! response carries the metrics delta folded around its race).
+//! [`service::VerificationService::submit`] applies admission control — beyond `workers + max_queue` admitted
 //! requests it rejects with a structured reason instead of queueing
 //! unboundedly — and returns a handle whose *drop* cancels the request:
 //! the per-request token is chained as the parent of every scheme budget
 //! ([`dd::Budget::with_parent_token`]), so a disconnected client's race
-//! unwinds cooperatively and its store goes back on the shelf.
+//! unwinds cooperatively.
 //!
 //! ## Wire protocol (verifyd)
 //!
@@ -81,23 +79,14 @@
 //! adversarial byte streams), and framing resynchronizes on the next
 //! newline.
 //!
-//! ## Racing on a shared store
+//! ## Concurrency model
 //!
-//! By default threaded plans race against one concurrent
-//! [`dd::SharedStore`] ([`PortfolioConfig::shared_package`]): the racing
-//! schemes attach one workspace each and reuse each other's gate diagrams,
-//! complex weights and subdiagrams instead of re-interning them privately.
-//! Three layers of telemetry surface the sharing:
-//!
-//! * [`SchemeReport::shared_nodes`] and
-//!   [`SchemeReport::cross_thread_hit_rate`] per scheme;
-//! * [`PortfolioResult::shared_store`] (a [`SharedStoreReport`]) per run:
-//!   `carried_over_nodes`, `allocated_nodes`, `intern_hits`,
-//!   `cross_thread_hits`, `warm_hits`, `cross_thread_hit_rate` (always
-//!   finite), `gc_runs` / `gc_barrier_runs`, `complex_entries`;
-//! * the batch JSON report repeats that block per pair
-//!   (`pairs[i].shared_store` plus a `warm_store` flag) and totals
-//!   `warm_hits_total` / `gc_barrier_runs_total`.
+//! A [`dd::DdPackage`] is single-threaded, and a race runs one package per
+//! scheme thread: every scheme builds its miter, states or distributions in
+//! private packages that die with the scheme. The racing threads share
+//! nothing but a [`CancelToken`](dd::CancelToken), so a race takes no
+//! locks, garbage collection never waits on another thread, and a pair's
+//! memory is released as soon as its race ends.
 //!
 //! ## Incremental verification of compilation chains
 //!
@@ -106,21 +95,14 @@
 //! the interesting question is rarely "do the endpoints agree" but "which
 //! pass broke it". The [`chain`] module verifies such a pipeline
 //! *pass-by-pass*: every adjacent snapshot pair is one ordinary portfolio
-//! race, all steps run on **one** store checked out of the pool **once**
-//! for the whole chain ([`service::VerificationService::submit_chain`]),
-//! and the first refuted step names the guilty pass
-//! ([`chain::ChainReport::guilty_pass`]). Two things make this *faster*
-//! than it sounds, not slower:
+//! race, the whole chain occupies one service worker
+//! ([`service::VerificationService::submit_chain`]), and the first refuted
+//! step names the guilty pass ([`chain::ChainReport::guilty_pass`]). Two
+//! things make this *faster* than it sounds, not slower:
 //!
 //! * adjacent snapshots are nearly identical, so every miter stays close
 //!   to the identity — the regime where DD node sharing and the compute
 //!   cache pay off most;
-//! * canonical nodes and gate DDs built by step *i* are warm for step
-//!   *i + 1*. [`SharedStore::begin_chain`](dd::SharedStore::begin_chain)
-//!   brackets the chain so the store can split those carry-over hits
-//!   ([`chain::ChainReport::chain_hits`]) from pre-chain shelf reuse
-//!   ([`chain::ChainReport::shelf_hits`]) — `warm_hits` alone cannot tell
-//!   the two apart;
 //! * the race includes the `functional(aligned)` scheme
 //!   ([`qcec::Strategy::Aligned`]): a diff-guided gate schedule that walks
 //!   an insertion-only pair (the shape every routing pass produces) in
@@ -144,19 +126,6 @@
 //! exposes per-pass snapshots for exactly this, and the bench crate's
 //! `corpus` binary generates whole manifest corpora of them.
 //!
-//! ## Warm stores across batch pairs
-//!
-//! The [`batch`] driver keeps shared stores alive across pairs in a
-//! per-register-width pool ([`batch::StorePool`];
-//! [`batch::BatchOptions::warm_stores`], default on; the `verify` binary's
-//! `--cold-stores` opts out): after each pair a collection prunes
-//! everything but the gate-diagram L2 cache and the canonical structure
-//! under it, which the next same-width pair reuses (reported as
-//! `warm_hits`). The pool keeps at most
-//! [`batch::BatchOptions::store_shelves`] register widths (least recently
-//! used evicted; `--store-shelves N`), so heterogeneous batches do not pin
-//! every width's arenas forever.
-//!
 //! ## Observability
 //!
 //! Every layer reports into the `obs` crate. Counters are always on (one
@@ -169,7 +138,7 @@
 //! allocated. Point events: `scheme.launch` (wave: inline / primary /
 //! reserve / sequential), `race.verdict` (one per winner improvement),
 //! `race.cancel`, `race.escalate` (with the [`EscalationReason`]),
-//! `warmstore.checkout` / `warmstore.checkin`, `telemetry.fold`.
+//! `chain.step`, `telemetry.fold`.
 //!
 //! The portfolio metric catalogue — each entry's caveat states what the
 //! bare number misleads about:
@@ -182,24 +151,22 @@
 //! | `portfolio.escalations.stall` | count | stall is a wall-clock verdict; a loaded machine escalates pairs a quiet one would not |
 //! | `portfolio.escalations.drain` | count | drain indicts the prediction; stall may only indict the deadline |
 //! | `batch.pairs` | count | includes pairs that failed to parse |
-//! | `batch.warm_checkouts` / `batch.cold_checkouts` | count | warm means reused, not faster; first pair per width is necessarily cold |
 //! | `service.requests` | count | admitted is not completed: cancelled requests count like served ones |
 //! | `service.queue_depth` / `service.inflight` | count | running *sums* sampled at admission/dispatch, not gauges — divide by `service.requests` for means; `stats` has the live gauges |
 //! | `service.admission_rejects` | count | rejects are per submit attempt; one retrying client can dominate the count |
 //! | `service.request_duration` | ns hist | dispatch-to-outcome only, queue wait invisible; log2 buckets make the p99 an upper bound |
 //!
 //! The batch JSON carries an always-on per-pair `metrics` block
-//! ([`batch::PairMetrics`]: cache and cross-thread hit rates, GC-barrier
-//! wait, lock contention, warm reuse) derived from the same counters — no
-//! trace file needed. `verify --metrics` prints the folded counters to
-//! stderr after a run; `--trace-file` implies it.
+//! ([`batch::PairMetrics`]: the best compute-cache hit rate) derived from
+//! the same counters — no trace file needed. `verify --metrics` prints the
+//! folded counters to stderr after a run; `--trace-file` implies it.
 //!
 //! ## Failure isolation
 //!
 //! A scheme that *panics* (as opposed to erroring) is caught, reported as a
 //! failed [`SchemeReport`] with the panic message as its error, and the
-//! run continues with the remaining schemes; shared-store locks the dead
-//! scheme may have poisoned recover instead of cascading.
+//! run continues with the remaining schemes. The dead scheme's packages
+//! were its own, so nothing the other racers hold is left inconsistent.
 //!
 //! ## Quick start
 //!
@@ -252,9 +219,8 @@ pub mod wire;
 
 pub use chain::{ChainReport, ChainRequest, ChainSpec, ChainStep, ChainStepReport, ChainStepSpec};
 pub use engine::{
-    applicable_schemes, run_scheme, run_scheme_in, verify_portfolio, verify_portfolio_in,
-    verify_portfolio_recorded, EscalationReason, PortfolioConfig, PortfolioResult, SchemeReport,
-    SharedStoreReport,
+    applicable_schemes, run_scheme, verify_portfolio, verify_portfolio_recorded, EscalationReason,
+    PortfolioConfig, PortfolioResult, SchemeReport, SharedStoreReport,
 };
 pub use scheduler::SchedulePolicy;
 pub use scheme::Scheme;

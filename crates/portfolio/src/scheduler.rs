@@ -101,19 +101,6 @@ pub struct SchedulePlan {
     /// race plans and for predicted plans that degraded to racing on a cold
     /// bucket).
     pub predicted: bool,
-    /// Whether the schemes race against one shared decision-diagram store
-    /// ([`dd::SharedStore`]) instead of private per-scheme packages. Under
-    /// [`SchedulePolicy::Race`] this is simply
-    /// [`PortfolioConfig::shared_package`]; under
-    /// [`SchedulePolicy::Predicted`] it is predicted per bucket from the
-    /// recorded [`SharingStats`](crate::telemetry::SharingStats).
-    pub shared: bool,
-    /// Stable machine-readable reason for the [`shared`](Self::shared)
-    /// decision, reported in the batch JSON `metrics` block and the
-    /// `race.plan` trace event: `"race-default"`, `"config-private"`,
-    /// `"explicit-schemes"`, `"cold-telemetry"`, `"predicted-shared"` or
-    /// `"predicted-private"`.
-    pub shared_reason: &'static str,
 }
 
 impl SchedulePlan {
@@ -201,12 +188,6 @@ pub fn plan(
             reserve: Vec::new(),
             escalate_after: None,
             predicted: false,
-            shared: config.shared_package,
-            shared_reason: if config.shared_package {
-                "explicit-schemes"
-            } else {
-                "config-private"
-            },
         };
     }
 
@@ -239,28 +220,6 @@ pub fn plan(
             reserve: Vec::new(),
             escalate_after: None,
             predicted: false,
-            shared: config.shared_package,
-            shared_reason: if config.shared_package {
-                "race-default"
-            } else {
-                "config-private"
-            },
-        }
-    };
-
-    // The sharing decision of a *predicted* plan: `--private-packages`
-    // always wins, a bucket with no recorded shared races keeps the config
-    // default, and a recorded bucket follows its measured payoff
-    // ([`SharingStats::favors_sharing`]). The race policy never reaches
-    // this — its plans carry the config default (`race_plan` above).
-    let predicted_sharing = || -> (bool, &'static str) {
-        if !config.shared_package {
-            return (false, "config-private");
-        }
-        match telemetry.and_then(|store| store.sharing_stats(&bucket)) {
-            None => (true, "cold-telemetry"),
-            Some(stats) if stats.favors_sharing() => (true, "predicted-shared"),
-            Some(_) => (false, "predicted-private"),
         }
     };
 
@@ -294,7 +253,6 @@ pub fn plan(
                     dense_hint: stats.and_then(|stats| dense_hint(&bucket, stats)),
                 })
                 .collect();
-            let (shared, shared_reason) = predicted_sharing();
             if tiny {
                 // Sequential trying already stops at the first conclusive
                 // verdict; prediction just orders the attempts by expected
@@ -306,8 +264,6 @@ pub fn plan(
                     reserve: Vec::new(),
                     escalate_after: None,
                     predicted: true,
-                    shared,
-                    shared_reason,
                 };
             }
             let k = k.max(1).min(hinted.len());
@@ -337,8 +293,6 @@ pub fn plan(
                 escalate_after: (!reserve.is_empty()).then_some(escalate_after),
                 reserve,
                 predicted: true,
-                shared,
-                shared_reason,
             }
         }
     }

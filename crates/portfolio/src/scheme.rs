@@ -13,7 +13,8 @@
 //! * static cost features ([`CostProfile`]) and the heuristic launch ranks
 //!   the racing/sequential orders are derived from, and
 //! * a [runner](SchemeDescriptor::runner) — a plain function pointer that
-//!   executes the scheme under a budget against an optional shared store.
+//!   executes the scheme under a budget on private decision-diagram
+//!   packages.
 //!
 //! The engine is a launcher over registry entries; the
 //! [scheduler](crate::scheduler) decides *which* entries to launch and in
@@ -22,13 +23,13 @@
 
 use crate::engine::PortfolioConfig;
 use circuit::QuantumCircuit;
-use dd::{Budget, LimitExceeded, MemoryStats, SharedStore};
+use dd::{Budget, LimitExceeded, MemoryStats};
 use qcec::{
-    check_functional_equivalence_in, check_simulative_equivalence_in, verify_dynamic_functional_in,
-    verify_fixed_input_in, CheckError, Configuration, DynamicCheckError, Equivalence, Strategy,
+    check_functional_equivalence_with, check_simulative_equivalence_with,
+    verify_dynamic_functional_with, verify_fixed_input_with, CheckError, Configuration,
+    DynamicCheckError, Equivalence, Strategy,
 };
 use sim::SimError;
-use std::sync::Arc;
 
 /// One verification scheme the portfolio can launch.
 ///
@@ -103,15 +104,9 @@ pub struct SchemeOutcome {
 }
 
 /// The runner signature every registry entry provides: execute the scheme on
-/// a circuit pair under `budget`, optionally attached to a shared
-/// decision-diagram store.
-pub type SchemeRunner = fn(
-    &QuantumCircuit,
-    &QuantumCircuit,
-    &PortfolioConfig,
-    &Budget,
-    Option<&Arc<SharedStore>>,
-) -> SchemeOutcome;
+/// a circuit pair under `budget`.
+pub type SchemeRunner =
+    fn(&QuantumCircuit, &QuantumCircuit, &PortfolioConfig, &Budget) -> SchemeOutcome;
 
 /// Static cost features of a scheme, available without any recorded
 /// telemetry. The scheduler uses them to break ties and to reason about
@@ -312,13 +307,12 @@ fn run_functional(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
     let configuration = Configuration {
         strategy,
         ..config.configuration
     };
-    match check_functional_equivalence_in(left, right, &configuration, budget, store) {
+    match check_functional_equivalence_with(left, right, &configuration, budget) {
         Ok(check) => SchemeOutcome {
             verdict: Some(check.equivalence),
             peak_nodes: Some(check.peak_diagram_size),
@@ -335,9 +329,8 @@ fn run_functional_proportional(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_functional(Strategy::Proportional, left, right, config, budget, store)
+    run_functional(Strategy::Proportional, left, right, config, budget)
 }
 
 fn run_functional_aligned(
@@ -345,9 +338,8 @@ fn run_functional_aligned(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_functional(Strategy::Aligned, left, right, config, budget, store)
+    run_functional(Strategy::Aligned, left, right, config, budget)
 }
 
 fn run_functional_one_to_one(
@@ -355,9 +347,8 @@ fn run_functional_one_to_one(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_functional(Strategy::OneToOne, left, right, config, budget, store)
+    run_functional(Strategy::OneToOne, left, right, config, budget)
 }
 
 fn run_functional_reference(
@@ -365,9 +356,8 @@ fn run_functional_reference(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_functional(Strategy::Reference, left, right, config, budget, store)
+    run_functional(Strategy::Reference, left, right, config, budget)
 }
 
 fn run_simulative(
@@ -375,9 +365,8 @@ fn run_simulative(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    match check_simulative_equivalence_in(left, right, &config.configuration, budget, store) {
+    match check_simulative_equivalence_with(left, right, &config.configuration, budget) {
         Ok(check) => SchemeOutcome {
             verdict: Some(check.equivalence),
             peak_nodes: None,
@@ -395,13 +384,12 @@ fn run_dynamic_functional(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
     let configuration = Configuration {
         strategy,
         ..config.configuration
     };
-    match verify_dynamic_functional_in(left, right, &configuration, budget, store) {
+    match verify_dynamic_functional_with(left, right, &configuration, budget) {
         Ok(report) => SchemeOutcome {
             verdict: Some(report.equivalence),
             peak_nodes: Some(report.check.peak_diagram_size),
@@ -418,9 +406,8 @@ fn run_dynamic_proportional(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::Proportional, left, right, config, budget, store)
+    run_dynamic_functional(Strategy::Proportional, left, right, config, budget)
 }
 
 fn run_dynamic_one_to_one(
@@ -428,9 +415,8 @@ fn run_dynamic_one_to_one(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::OneToOne, left, right, config, budget, store)
+    run_dynamic_functional(Strategy::OneToOne, left, right, config, budget)
 }
 
 fn run_dynamic_reference(
@@ -438,9 +424,8 @@ fn run_dynamic_reference(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::Reference, left, right, config, budget, store)
+    run_dynamic_functional(Strategy::Reference, left, right, config, budget)
 }
 
 fn run_fixed_input(
@@ -448,15 +433,13 @@ fn run_fixed_input(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    match verify_fixed_input_in(
+    match verify_fixed_input_with(
         left,
         right,
         &config.configuration,
         &config.extraction,
         budget,
-        store,
     ) {
         Ok(report) => {
             let support = report.reference_distribution.len() + report.dynamic_distribution.len();

@@ -3,11 +3,11 @@
 //! The batch driver ([`crate::batch`]) and the `verifyd` daemon are both
 //! thin front-ends over the [`VerificationService`] defined here: a worker
 //! pool plus the long-lived state that makes a *resident* checker worth
-//! running — the warm [`StorePool`] (one shared decision-diagram store per
-//! register width, gate-DD L2 cache and canonical structure surviving
-//! across requests), a continuously-folded [`TelemetryStore`] feeding the
+//! running — a continuously-folded [`TelemetryStore`] feeding the
 //! predictive scheduler, and the process-global `obs` observability
 //! substrate (per-request metric deltas, leasable JSONL trace sink).
+//! Decision-diagram state is *not* resident: every race builds its
+//! diagrams in fresh private packages and drops them when it ends.
 //!
 //! # Lifecycle
 //!
@@ -18,28 +18,27 @@
 //! handle before its outcome arrived cancels the request: the per-request
 //! [`CancelToken`] is chained as the parent of every scheme budget (see
 //! [`dd::Budget::with_parent_token`]), so a disconnected client's in-flight
-//! race unwinds within a few hundred node allocations and its store goes
-//! back to the pool. [`drain`](VerificationService::drain) stops admission,
-//! finishes everything already admitted, joins the workers and hands the
-//! folded telemetry back (saving it crash-safely first when
+//! race unwinds within a few hundred node allocations.
+//! [`drain`](VerificationService::drain) stops admission, finishes
+//! everything already admitted, joins the workers and hands the folded
+//! telemetry back (saving it crash-safely first when
 //! [`ServiceConfig::stats`] is set).
 //!
 //! # Admission control
 //!
 //! Capacity is `workers + max_queue`: `workers` requests can be in flight
-//! (each holding at most one store checkout, so `workers` is also the bound
-//! on simultaneously checked-out shelves) and `max_queue` more may wait.
-//! Beyond that, [`submit`](VerificationService::submit) rejects with
+//! and `max_queue` more may wait. Beyond that,
+//! [`submit`](VerificationService::submit) rejects with
 //! [`RejectReason::Saturated`] — backpressure the caller can see and act
 //! on, instead of an unbounded queue hiding the overload.
 
-use crate::batch::{failed_pair, strip_side_suffix, PairReport, PairSpec, StorePool};
+use crate::batch::{failed_pair, strip_side_suffix, PairReport, PairSpec};
 use crate::chain::{self, ChainReport, ChainRequest};
 use crate::engine::verify_portfolio_recorded;
 use crate::telemetry::TelemetryStore;
 use crate::PortfolioConfig;
 use circuit::qasm;
-use dd::{CancelToken, SharedStore};
+use dd::CancelToken;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -91,12 +90,8 @@ pub struct Request {
     /// Per-request decision-diagram node budget, overriding
     /// [`PortfolioConfig::node_limit`].
     pub node_limit: Option<usize>,
-    /// Register width hint (max qubits of the pair). When the request at
-    /// the *front of the queue* hints the width the finishing request just
-    /// used, the between-request store prune is skipped — the next race
-    /// inherits the whole working set instead of just the pruned roots.
-    /// Purely an optimisation, never affects verdicts; a wrong hint only
-    /// wastes one prune's worth of retained memory.
+    /// Register width hint (max qubits of the pair), as manifests and the
+    /// daemon's `qubits` parameter carry it. Verification never reads it.
     pub width_hint: Option<usize>,
 }
 
@@ -121,19 +116,10 @@ enum Work {
     Chain(ChainRequest),
 }
 
-impl Work {
-    fn width_hint(&self) -> Option<usize> {
-        match self {
-            Work::Pair(request) => request.width_hint,
-            Work::Chain(request) => request.width_hint,
-        }
-    }
-}
-
 /// Why [`VerificationService::submit`] turned a request away.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
-    /// Every worker (store shelf) is busy and the wait queue is full.
+    /// Every worker is busy and the wait queue is full.
     Saturated {
         /// Requests currently racing.
         inflight: usize,
@@ -170,17 +156,11 @@ pub struct ServiceConfig {
     /// Portfolio configuration applied to every request (per-request
     /// deadline/node-limit overrides are layered on top).
     pub portfolio: PortfolioConfig,
-    /// Worker threads, i.e. the maximum number of in-flight requests. Each
-    /// in-flight request holds at most one warm-store checkout.
+    /// Worker threads, i.e. the maximum number of in-flight requests.
     pub workers: usize,
     /// Admitted requests allowed to *wait* beyond the in-flight ones;
     /// submissions beyond `workers + max_queue` are rejected.
     pub max_queue: usize,
-    /// Keep one shared store per register width alive across requests (see
-    /// [`StorePool`]); requires [`PortfolioConfig::shared_package`].
-    pub warm_stores: bool,
-    /// Most register widths the warm-store pool retains (LRU beyond that).
-    pub store_shelves: usize,
     /// Persistent telemetry file: loaded at start (missing file = cold
     /// start; unreadable/malformed = warn, run cold and *never* save over
     /// it), folded continuously while the service runs, saved back
@@ -195,8 +175,6 @@ impl Default for ServiceConfig {
             portfolio: batch.portfolio,
             workers: batch.workers,
             max_queue: batch.workers * 4,
-            warm_stores: batch.warm_stores,
-            store_shelves: batch.store_shelves,
             stats: None,
         }
     }
@@ -473,17 +451,9 @@ pub struct ServiceStats {
     pub inflight: usize,
     /// Whether the service stopped admitting (drain/shutdown).
     pub draining: bool,
-    /// Warm-store checkouts served from a shelf since start.
+    /// Always 0: no decision-diagram store outlives its race any more.
+    /// Kept because the benchmark harness reads it.
     pub warm_checkouts: usize,
-    /// Between-request store prunes skipped because the next queued
-    /// request hinted the same register width (see
-    /// [`Request::width_hint`]).
-    pub pool_gc_skips: usize,
-    /// Register widths with a shelved warm store right now.
-    pub shelved_widths: usize,
-    /// Workspaces still attached to shelved stores (always 0 unless a
-    /// scheme leaked one — see [`StorePool::attached_workspaces`]).
-    pub attached_workspaces: usize,
     /// Races recorded into the in-memory telemetry store since start.
     pub telemetry_races: u64,
     /// Seconds since the service started.
@@ -504,7 +474,6 @@ struct ServiceShared {
     state: Mutex<QueueState>,
     work_ready: Condvar,
     idle: Condvar,
-    pool: Option<StorePool>,
     telemetry: Mutex<TelemetryStore>,
     telemetry_base_races: u64,
     stats_path: Option<PathBuf>,
@@ -562,8 +531,6 @@ impl VerificationService {
         stats_load_failed: bool,
     ) -> VerificationService {
         let workers = config.workers.max(1);
-        let pool = (config.warm_stores && config.portfolio.shared_package)
-            .then(|| StorePool::with_shelves(config.store_shelves));
         let shared = Arc::new(ServiceShared {
             portfolio: config.portfolio,
             workers,
@@ -571,7 +538,6 @@ impl VerificationService {
             state: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
-            pool,
             telemetry_base_races: telemetry.races,
             telemetry: Mutex::new(telemetry),
             stats_path: config.stats,
@@ -613,8 +579,8 @@ impl VerificationService {
     }
 
     /// [`submit`](Self::submit) for a whole compilation chain: the chain
-    /// occupies one worker (and one store checkout) for all its steps, so
-    /// admission counts it as one request.
+    /// occupies one worker for all its steps, so admission counts it as one
+    /// request.
     ///
     /// # Errors
     ///
@@ -692,13 +658,7 @@ impl VerificationService {
             queue_depth,
             inflight,
             draining,
-            warm_checkouts: shared.pool.as_ref().map_or(0, StorePool::warm_checkouts),
-            pool_gc_skips: shared.pool.as_ref().map_or(0, StorePool::gc_skips),
-            shelved_widths: shared.pool.as_ref().map_or(0, StorePool::shelved_widths),
-            attached_workspaces: shared
-                .pool
-                .as_ref()
-                .map_or(0, StorePool::attached_workspaces),
+            warm_checkouts: 0,
             telemetry_races,
             uptime_seconds: shared.started.elapsed().as_secs_f64(),
         }
@@ -920,10 +880,9 @@ fn worker_loop(shared: &ServiceShared) {
     }
 }
 
-/// Runs one request end to end: parse, warm-store checkout, portfolio race
-/// with the request token chained into every budget, between-request GC,
-/// checkin. This is the one execution path shared by the batch driver and
-/// the daemon.
+/// Runs one request end to end: parse, then a portfolio race with the
+/// request token chained into every budget. This is the one execution path
+/// shared by the batch driver and the daemon.
 fn execute(shared: &ServiceShared, job: &Job, request: &Request) -> PairReport {
     let spec = PairSpec {
         name: request.name.clone(),
@@ -966,8 +925,7 @@ fn execute_inner(
     name: String,
 ) -> PairReport {
     if job.cancel.is_cancelled() {
-        // Cancelled while queued (client gone before dispatch): don't parse,
-        // don't touch the pool.
+        // Cancelled while queued (client gone before dispatch): don't parse.
         return failed_pair(spec, name, "cancelled before dispatch".to_string());
     }
     let left_text = match request.left.read() {
@@ -998,98 +956,12 @@ fn execute_inner(
     }
     portfolio.cancel = Some(job.cancel.clone());
 
-    let telemetry = Some(&shared.telemetry);
-    let (result, warm, pool_gc_seconds) = match &shared.pool {
-        Some(pool) => {
-            let width = left.num_qubits().max(right.num_qubits());
-            let (store, warm) = pool.checkout(width);
-            obs::metrics::incr(if warm {
-                obs::metrics::BATCH_WARM_CHECKOUTS
-            } else {
-                obs::metrics::BATCH_COLD_CHECKOUTS
-            });
-            obs::trace::event(
-                "warmstore.checkout",
-                &[("width", width.into()), ("warm", warm.into())],
-            );
-            let result =
-                verify_portfolio_recorded(&left, &right, &portfolio, Some(&store), telemetry);
-            let pool_gc_seconds = return_store_to_pool(shared, pool, width, &store);
-            pool.checkin(width, store);
-            (result, warm, pool_gc_seconds)
-        }
-        None => (
-            verify_portfolio_recorded(&left, &right, &portfolio, None, telemetry),
-            false,
-            0.0,
-        ),
-    };
-    PairReport::from_result(
-        name,
-        spec.left.clone(),
-        spec.right.clone(),
-        warm,
-        pool_gc_seconds,
-        result,
-    )
+    let result = verify_portfolio_recorded(&left, &right, &portfolio, Some(&shared.telemetry));
+    PairReport::from_result(name, spec.left.clone(), spec.right.clone(), result)
 }
 
-/// The register width the *next* dispatched request will race at, when its
-/// submitter hinted one. Peeks the front of the queue only — a deeper scan
-/// would be guessing at scheduling order.
-fn next_queued_width(shared: &ServiceShared) -> Option<usize> {
-    lock(&shared.state)
-        .queue
-        .front()
-        .and_then(|job| job.work.width_hint())
-}
-
-/// Prunes a checked-out store before it goes back on the shelf — *unless*
-/// the request at the front of the queue hints the same register width, in
-/// which case the prune is deliberately skipped so the next race inherits
-/// the whole working set (compute caches included), not just the GC roots.
-/// Returns the seconds the prune took (0 when skipped). The caller still
-/// owns the checkin.
-///
-/// The prune otherwise runs even when the request was cancelled mid-race,
-/// so a disconnected client still returns a *clean* store to the pool: a
-/// collection from a fresh (root-less) workspace keeps only the GC roots —
-/// the shared gate cache and the canonical structure under it, exactly the
-/// warm value of the pool.
-fn return_store_to_pool(
-    shared: &ServiceShared,
-    pool: &StorePool,
-    width: usize,
-    store: &Arc<SharedStore>,
-) -> f64 {
-    if next_queued_width(shared) == Some(width) {
-        pool.note_gc_skip();
-        obs::metrics::incr(obs::metrics::BATCH_POOL_GC_SKIPS);
-        obs::trace::event(
-            "warmstore.checkin",
-            &[("width", width.into()), ("gc_skipped", true.into())],
-        );
-        return 0.0;
-    }
-    let gc_start = Instant::now();
-    let mut collector = store.workspace(width);
-    let reclaimed = collector.garbage_collect();
-    drop(collector);
-    let pool_gc = gc_start.elapsed();
-    obs::trace::event(
-        "warmstore.checkin",
-        &[
-            ("width", width.into()),
-            ("reclaimed", reclaimed.into()),
-            ("gc", pool_gc.into()),
-        ],
-    );
-    pool_gc.as_secs_f64()
-}
-
-/// Runs one chain request end to end: parse every snapshot, one store
-/// checkout for the whole chain, pass-by-pass races via
-/// [`chain::run_chain`], one conditional prune, checkin.
+/// Runs one chain request end to end: parse every snapshot, then
+/// pass-by-pass races via [`chain::run_chain`].
 fn execute_chain(shared: &ServiceShared, job: &Job, request: &ChainRequest) -> ChainReport {
     let name = request.name.clone().unwrap_or_else(|| {
         match request.steps.first().map(|step| &step.source) {
@@ -1184,46 +1056,13 @@ fn execute_chain_inner(
     }
     portfolio.cancel = Some(job.cancel.clone());
 
-    // One width for the whole chain: routing widens circuits mid-pipeline,
-    // and the widest snapshot decides which shelf the chain warms.
-    let width = circuits
-        .iter()
-        .map(circuit::QuantumCircuit::num_qubits)
-        .max()
-        .unwrap_or(1);
     let parsed = chain::ParsedChain {
         name,
         labels,
         displays,
         circuits,
     };
-    let telemetry = Some(&shared.telemetry);
-    match &shared.pool {
-        Some(pool) => {
-            let (store, warm) = pool.checkout(width);
-            obs::metrics::incr(if warm {
-                obs::metrics::BATCH_WARM_CHECKOUTS
-            } else {
-                obs::metrics::BATCH_COLD_CHECKOUTS
-            });
-            obs::trace::event(
-                "warmstore.checkout",
-                &[("width", width.into()), ("warm", warm.into())],
-            );
-            let report = chain::run_chain(&parsed, &portfolio, Some(&store), warm, telemetry);
-            return_store_to_pool(shared, pool, width, &store);
-            pool.checkin(width, store);
-            report
-        }
-        // No pool, but sharing is on: a chain still wants one store for all
-        // its steps — carry-over between steps is the point — it just dies
-        // with the request instead of going to a shelf.
-        None if shared.portfolio.shared_package => {
-            let store = SharedStore::new();
-            chain::run_chain(&parsed, &portfolio, Some(&store), false, telemetry)
-        }
-        None => chain::run_chain(&parsed, &portfolio, None, false, telemetry),
-    }
+    chain::run_chain(&parsed, &portfolio, Some(&shared.telemetry))
 }
 
 /// Renders a folded metrics delta as a JSON object: `counters` (non-zero

@@ -234,89 +234,6 @@ impl SchemeStats {
     }
 }
 
-/// Running statistics of how well *shared-store racing* paid off within one
-/// feature bucket, accumulated across races (see
-/// [`TelemetryStore::record_sharing`]).
-///
-/// The bucket already captures what drives the sharing economics: the width
-/// band (wider miters build more reusable structure) and the scheme mix
-/// (dynamic pairs race a different scheme set entirely). The stats add the
-/// two measured signals — the race's cross-thread hit rate and the time its
-/// schemes spent blocked on store locks — which the scheduler reads back to
-/// decide whether the *next* pair of the bucket should race on a shared
-/// store at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SharingStats {
-    /// Shared-store races recorded into this bucket.
-    pub races: u64,
-    /// Sum of per-race `cross_thread_hit_rate` values (each in `[0, 1]`).
-    pub hit_rate_sum: f64,
-    /// Sum of per-race `shard_contention_seconds` (cross-thread sums, so a
-    /// single addend can exceed its race's wall-clock time).
-    pub contention_secs_sum: f64,
-    /// Sum of per-race wall-clock seconds, the denominator that makes
-    /// contention comparable across machines and instance sizes.
-    pub race_secs_sum: f64,
-}
-
-/// Mean cross-thread hit rate below which sharing historically has not paid:
-/// the store-lock traffic buys almost no reuse. Derived from the checked-in
-/// `BENCH_shared.json` spread — low-width QPE buckets sit near 0.07, the
-/// high-reuse ones above 0.4 — so the threshold splits the two populations
-/// with a wide margin on both sides.
-pub const SHARING_HIT_RATE_THRESHOLD: f64 = 0.25;
-
-/// Contention veto: even a good hit rate cannot pay for a store whose locks
-/// eat more than this fraction of the races' wall-clock time.
-pub const SHARING_CONTENTION_CEILING: f64 = 0.25;
-
-impl SharingStats {
-    /// Folds one shared race's signals into the stats.
-    pub fn record(&mut self, hit_rate: f64, contention_secs: f64, race_secs: f64) {
-        self.races += 1;
-        self.hit_rate_sum += hit_rate;
-        self.contention_secs_sum += contention_secs;
-        self.race_secs_sum += race_secs;
-    }
-
-    /// Merges another record into this one.
-    pub fn merge(&mut self, other: &SharingStats) {
-        self.races += other.races;
-        self.hit_rate_sum += other.hit_rate_sum;
-        self.contention_secs_sum += other.contention_secs_sum;
-        self.race_secs_sum += other.race_secs_sum;
-    }
-
-    /// Mean per-race cross-thread hit rate (`0.0` with no recorded races).
-    pub fn mean_hit_rate(&self) -> f64 {
-        if self.races == 0 {
-            0.0
-        } else {
-            self.hit_rate_sum / self.races as f64
-        }
-    }
-
-    /// Recorded lock-contention time as a fraction of recorded race time
-    /// (`0.0` with no recorded time; can exceed `1.0` because contention
-    /// sums across threads).
-    pub fn contention_fraction(&self) -> f64 {
-        if self.race_secs_sum <= 0.0 {
-            0.0
-        } else {
-            self.contention_secs_sum / self.race_secs_sum
-        }
-    }
-
-    /// The prediction: sharing pays when the recorded hit rate clears
-    /// [`SHARING_HIT_RATE_THRESHOLD`] and lock contention stays under
-    /// [`SHARING_CONTENTION_CEILING`] of race time. Deterministic for given
-    /// stats.
-    pub fn favors_sharing(&self) -> bool {
-        self.mean_hit_rate() >= SHARING_HIT_RATE_THRESHOLD
-            && self.contention_fraction() <= SHARING_CONTENTION_CEILING
-    }
-}
-
 /// Error raised while loading or saving a [`TelemetryStore`].
 #[derive(Debug)]
 pub enum TelemetryError {
@@ -356,11 +273,6 @@ pub struct TelemetryStore {
     /// Per-(scheme, bucket) stats. Keys are `"{scheme}@{bucket}"`, e.g.
     /// `"fixed-input@dynamic-w4"`.
     pub schemes: BTreeMap<String, SchemeStats>,
-    /// Per-bucket shared-store payoff stats, keyed by the bucket's display
-    /// form (e.g. `"static-w4"`). `Option` because stats files written
-    /// before this field existed deserialize the missing key as `Null`,
-    /// which only `Option` accepts — an old file must keep loading.
-    pub sharing: Option<BTreeMap<String, SharingStats>>,
 }
 
 impl TelemetryStore {
@@ -401,40 +313,11 @@ impl TelemetryStore {
         self.schemes.get(&TelemetryStore::key(scheme, bucket))
     }
 
-    /// Folds one shared race's sharing signals into the pair's bucket.
-    pub fn record_sharing(
-        &mut self,
-        features: &PairFeatures,
-        hit_rate: f64,
-        contention_secs: f64,
-        race_secs: f64,
-    ) {
-        self.sharing
-            .get_or_insert_with(BTreeMap::new)
-            .entry(features.bucket().to_string())
-            .or_default()
-            .record(hit_rate, contention_secs, race_secs);
-    }
-
-    /// The recorded sharing stats of a bucket, if any race was recorded.
-    pub fn sharing_stats(&self, bucket: &FeatureBucket) -> Option<&SharingStats> {
-        self.sharing
-            .as_ref()
-            .and_then(|map| map.get(&bucket.to_string()))
-            .filter(|stats| stats.races > 0)
-    }
-
     /// Merges another store into this one.
     pub fn merge(&mut self, other: &TelemetryStore) {
         self.races += other.races;
         for (key, stats) in &other.schemes {
             self.schemes.entry(key.clone()).or_default().merge(stats);
-        }
-        if let Some(sharing) = &other.sharing {
-            let own = self.sharing.get_or_insert_with(BTreeMap::new);
-            for (key, stats) in sharing {
-                own.entry(key.clone()).or_default().merge(stats);
-            }
         }
     }
 

@@ -1,11 +1,10 @@
 //! Integration tests of incremental (pass-by-pass) chain verification:
-//! blame localisation, chain-vs-endpoint verdict parity, warm-store
-//! carry-over and the between-request prune skip.
+//! blame localisation and chain-vs-endpoint verdict parity.
 
 use compile::{Compiler, CompilerOptions, Target};
 use portfolio::batch::{run_batch, BatchOptions, Manifest, PairSpec};
 use portfolio::service::{ServiceConfig, Source, VerificationService};
-use portfolio::{ChainRequest, ChainSpec, ChainStep, ChainStepSpec, PortfolioConfig};
+use portfolio::{ChainRequest, ChainSpec, ChainStep, ChainStepSpec};
 use qcec::Equivalence;
 
 /// A staged line-routed QFT compilation: original plus four pass outputs.
@@ -103,11 +102,10 @@ fn broken_middle_pass_is_blamed_by_name() {
 }
 
 #[test]
-fn unbroken_chain_matches_endpoint_verdict_and_carries_structure() {
-    // The same staged pipeline verified three ways: pass-by-pass as a
-    // chain, endpoint-only as a pair, and endpoint-only with private
-    // per-scheme packages. All must agree that compilation preserved the
-    // function, and the chain must actually reuse structure across steps.
+fn unbroken_chain_matches_endpoint_verdict() {
+    // The same staged pipeline verified two ways: pass-by-pass as a chain
+    // and endpoint-only as a pair. Both must agree that compilation
+    // preserved the function.
     let chain = staged_qft(6);
     let dir = std::env::temp_dir().join(format!("chain-parity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -135,74 +133,22 @@ fn unbroken_chain_matches_endpoint_verdict_and_carries_structure() {
         }]),
     };
 
-    for shared_package in [true, false] {
-        let options = BatchOptions {
-            workers: 1,
-            portfolio: PortfolioConfig {
-                shared_package,
-                ..PortfolioConfig::default()
-            },
-            ..BatchOptions::default()
-        };
-        let report = run_batch(&manifest, &options);
-        assert_eq!(report.chains_total, 1);
-        assert_eq!(report.pairs_total, 1);
-        let chain_report = &report.chains[0];
-        let pair_report = &report.pairs[0];
-        assert_eq!(
-            chain_report.considered_equivalent, pair_report.considered_equivalent,
-            "chain and endpoint verdicts disagree (shared_package={shared_package}): \
-             {chain_report:?} vs {pair_report:?}"
-        );
-        assert!(chain_report.considered_equivalent);
-        assert!(chain_report.guilty_pass.is_none());
-        assert_eq!(chain_report.steps_verified, chain_report.steps_total);
-        assert!(report.pairs_per_sec > 0.0, "throughput metric missing");
-        if shared_package {
-            // Steps after the first hit structure interned by earlier
-            // steps of the same chain, and those hits are the chain
-            // subset of the batch's warm hits.
-            assert!(
-                chain_report.chain_hits > 0,
-                "no chain carry-over hits: {chain_report:?}"
-            );
-            assert!(report.warm_hits_total >= report.chain_hits_total);
-            assert!(report.chain_hits_total >= chain_report.chain_hits);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn same_width_queue_skips_the_between_request_prune() {
-    // Three same-width requests on one worker: while one runs, the next
-    // waits in the queue with a matching width hint, so the between-request
-    // prune is skipped (the retained structure is about to be wanted).
-    let chain = staged_qft(5);
-    let (_, original) = &chain[0];
-    let (_, compiled) = chain.last().unwrap();
-    let service = VerificationService::start(ServiceConfig {
+    let options = BatchOptions {
         workers: 1,
-        ..ServiceConfig::default()
-    });
-    let request = || portfolio::service::Request {
-        name: None,
-        left: Source::Inline(circuit::qasm::to_qasm(original)),
-        right: Source::Inline(circuit::qasm::to_qasm(compiled)),
-        deadline: None,
-        node_limit: None,
-        width_hint: Some(original.num_qubits()),
+        ..BatchOptions::default()
     };
-    let handles: Vec<_> = (0..3)
-        .map(|_| service.submit(request()).expect("admitted"))
-        .collect();
-    for handle in handles {
-        assert!(handle.wait().report.considered_equivalent);
-    }
-    let stats = service.stats();
-    assert!(
-        stats.pool_gc_skips >= 1,
-        "queued same-width requests should skip at least one prune: {stats:?}"
+    let report = run_batch(&manifest, &options);
+    assert_eq!(report.chains_total, 1);
+    assert_eq!(report.pairs_total, 1);
+    let chain_report = &report.chains[0];
+    let pair_report = &report.pairs[0];
+    assert_eq!(
+        chain_report.considered_equivalent, pair_report.considered_equivalent,
+        "chain and endpoint verdicts disagree: {chain_report:?} vs {pair_report:?}"
     );
-    service.drain();
+    assert!(chain_report.considered_equivalent);
+    assert!(chain_report.guilty_pass.is_none());
+    assert_eq!(chain_report.steps_verified, chain_report.steps_total);
+    assert!(report.pairs_per_sec > 0.0, "throughput metric missing");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -248,75 +248,6 @@ fn functional_refutation_outranks_fixed_input_equivalence() {
 }
 
 #[test]
-fn shared_store_race_matches_private_packages() {
-    // Non-tiny dynamic pair → threaded racing path. The shared-store race
-    // (default) and the private-package race must agree on the verdict; only
-    // the shared race carries store telemetry.
-    let n = 10;
-    let left = qft::qft_static(n, None, true);
-    let right = qft::qft_dynamic(n);
-    let shared = verify_portfolio(&left, &right, &PortfolioConfig::default());
-    let private = verify_portfolio(
-        &left,
-        &right,
-        &PortfolioConfig {
-            shared_package: false,
-            ..Default::default()
-        },
-    );
-    assert!(shared.verdict.considered_equivalent());
-    assert_eq!(
-        shared.verdict.considered_equivalent(),
-        private.verdict.considered_equivalent()
-    );
-    let store = shared.shared_store.expect("shared race reports its store");
-    assert!(store.peak_nodes > 0);
-    assert!(store.allocated_nodes > 0);
-    assert!(private.shared_store.is_none());
-
-    // The telemetry block is machine-readable with the documented fields
-    // (this is the per-pair `shared_store` object of the batch JSON report).
-    let json = serde_json::to_string(&store).unwrap();
-    for field in [
-        "shared_nodes",
-        "peak_nodes",
-        "allocated_nodes",
-        "intern_hits",
-        "cross_thread_hits",
-        "cross_thread_hit_rate",
-        "gc_runs",
-        "complex_entries",
-    ] {
-        assert!(json.contains(field), "missing `{field}` in {json}");
-    }
-}
-
-#[test]
-fn racing_schemes_share_structure_across_threads() {
-    // Two miter schedules over the same equivalent pair intern essentially
-    // identical gate diagrams and subdiagrams: whichever thread is second to
-    // any common node records a cross-thread hit, so the race must observe
-    // sharing no matter how the schemes interleave or who wins.
-    let left = ghz::ghz(10, false);
-    let right = ghz::ghz(10, false);
-    let config = PortfolioConfig {
-        schemes: vec![
-            Scheme::Functional(Strategy::Proportional),
-            Scheme::Functional(Strategy::Reference),
-        ],
-        ..Default::default()
-    };
-    let result = verify_portfolio(&left, &right, &config);
-    assert_eq!(result.verdict, Equivalence::Equivalent);
-    let store = result.shared_store.expect("explicit schemes race threaded");
-    assert!(
-        store.cross_thread_hits > 0,
-        "overlapping schemes should share canonical structure: {store:?}"
-    );
-    assert!(store.cross_thread_hit_rate > 0.0);
-}
-
-#[test]
 fn explicit_scheme_list_is_respected() {
     let (static_qpe, iqpe) = paper_qpe_pair();
     let config = PortfolioConfig {
@@ -385,9 +316,11 @@ fn batch_driver_reports_a_three_pair_manifest() {
         assert!(pair.get("winner").is_some());
         assert!(pair.get("time_to_verdict").unwrap().as_f64().is_some());
         assert!(!pair.get("schemes").unwrap().as_array().unwrap().is_empty());
-        // The shared_store block is always rendered: `null` for pairs that
-        // took the sequential fast path, an object for threaded races.
-        assert!(pair.get("shared_store").is_some());
+        // The retired shared_store block still renders, always `null`.
+        assert!(matches!(
+            pair.get("shared_store"),
+            Some(serde_json::Value::Null)
+        ));
     }
     let bv_pair = rendered_pairs
         .iter()
@@ -449,107 +382,4 @@ fn batch_reports_unreadable_pairs_instead_of_dying() {
     assert_eq!(report.pairs_failed, 1);
     assert!(report.pairs[0].error.is_some());
     assert_eq!(report.pairs[0].verdict, Equivalence::NoInformation);
-}
-
-#[test]
-fn warm_stores_reuse_structure_across_same_width_pairs() {
-    // Three same-width QFT pairs: with warm stores, every pair after the
-    // first must reuse canonical structure carried over from its
-    // predecessor (warm_hits > 0) while producing verdicts identical to a
-    // cold-store run.
-    let dir = temp_dir("warm");
-    let mut manifest = Manifest {
-        pairs: Vec::new(),
-        chains: None,
-    };
-    for i in 0..3 {
-        let left = qft::qft_static(6, None, true);
-        let right = qft::qft_dynamic(6);
-        let left_path = dir.join(format!("qft_{i}.left.qasm"));
-        let right_path = dir.join(format!("qft_{i}.right.qasm"));
-        std::fs::write(&left_path, circuit::qasm::to_qasm(&left)).unwrap();
-        std::fs::write(&right_path, circuit::qasm::to_qasm(&right)).unwrap();
-        manifest.pairs.push(PairSpec {
-            name: Some(format!("qft_{i}")),
-            left: left_path.to_string_lossy().into_owned(),
-            right: right_path.to_string_lossy().into_owned(),
-            qubits: None,
-        });
-    }
-
-    // One worker => pairs run in order on the same pooled store.
-    let warm_options = BatchOptions {
-        workers: 1,
-        ..BatchOptions::default()
-    };
-    let cold_options = BatchOptions {
-        workers: 1,
-        warm_stores: false,
-        ..BatchOptions::default()
-    };
-    let warm = run_batch(&manifest, &warm_options);
-    let cold = run_batch(&manifest, &cold_options);
-
-    assert_eq!(warm.pairs_total, 3);
-    for (w, c) in warm.pairs.iter().zip(cold.pairs.iter()) {
-        assert_eq!(w.verdict, c.verdict, "warm stores changed a verdict");
-        assert!(w.considered_equivalent);
-    }
-    assert!(!warm.pairs[0].warm_store, "first pair starts cold");
-    for pair in &warm.pairs[1..] {
-        assert!(pair.warm_store, "later same-width pairs must be warm");
-        let store = pair
-            .shared_store
-            .as_ref()
-            .expect("warm pairs report store telemetry");
-        assert!(
-            store.warm_hits > 0,
-            "warm pair should reuse carried-over structure: {store:?}"
-        );
-        assert!(
-            store.carried_over_nodes > 0,
-            "the between-pair GC keeps the gate cache alive: {store:?}"
-        );
-    }
-    assert!(warm.warm_hits_total > 0);
-    assert_eq!(cold.warm_hits_total, 0);
-
-    // The warm telemetry survives the JSON rendering as finite numbers.
-    let json = serde_json::to_string(&warm).unwrap();
-    assert!(json.contains("\"warm_hits\""));
-    assert!(json.contains("\"gc_barrier_runs\""));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cancelled_schemes_report_a_finite_cross_thread_hit_rate() {
-    use dd::{Budget, CancelToken, SharedStore};
-    // A scheme cancelled before its first canonical lookup used to divide
-    // 0 hits by 0 lookups; on a shared store the report must say 0.0 (the
-    // vendored JSON writer rejects NaN and a null would read as "private").
-    let (static_qpe, iqpe) = paper_qpe_pair();
-    let token = CancelToken::new();
-    token.cancel();
-    let budget = Budget::unlimited().with_cancel_token(token);
-    let store = SharedStore::new();
-    let report = portfolio::run_scheme_in(
-        Scheme::DynamicFunctional(Strategy::Proportional),
-        &static_qpe,
-        &iqpe,
-        &PortfolioConfig::default(),
-        &budget,
-        Some(&store),
-    );
-    assert!(report.cancelled);
-    assert_eq!(
-        report.cross_thread_hit_rate,
-        Some(0.0),
-        "shared-store schemes must always report a finite rate"
-    );
-    let json = serde_json::to_string(&report).unwrap();
-    assert!(
-        json.contains("\"cross_thread_hit_rate\":0"),
-        "rate must render as a number: {json}"
-    );
 }

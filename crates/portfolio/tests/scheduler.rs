@@ -249,7 +249,7 @@ fn predicted_primary_wave_always_contains_a_proving_scheme() {
     );
 
     let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     assert!(result.predicted);
     assert!(
         !result.escalated(),
@@ -281,7 +281,7 @@ fn escalation_reaches_a_conclusive_verdict_when_the_prediction_errors() {
         ..Default::default()
     };
     let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     assert!(result.predicted);
     assert!(
         result.escalated(),
@@ -330,7 +330,7 @@ fn stalled_primary_wave_escalates_on_the_deadline() {
         ..Default::default()
     };
     let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     assert!(result.predicted);
     assert!(
         result.verdict.considered_equivalent(),
@@ -352,30 +352,18 @@ fn predicted_matches_race_verdicts_and_launches_fewer_schemes() {
 
     let telemetry = Mutex::new(TelemetryStore::new());
     let race_config = PortfolioConfig::default();
-    let race_qpe =
-        verify_portfolio_recorded(&static_qpe, &iqpe, &race_config, None, Some(&telemetry));
-    let race_qft =
-        verify_portfolio_recorded(&qft_left, &qft_right, &race_config, None, Some(&telemetry));
+    let race_qpe = verify_portfolio_recorded(&static_qpe, &iqpe, &race_config, Some(&telemetry));
+    let race_qft = verify_portfolio_recorded(&qft_left, &qft_right, &race_config, Some(&telemetry));
     assert!(!race_qpe.predicted && !race_qft.predicted);
 
     let predicted_config = PortfolioConfig {
         policy: SchedulePolicy::predicted(),
         ..Default::default()
     };
-    let predicted_qpe = verify_portfolio_recorded(
-        &static_qpe,
-        &iqpe,
-        &predicted_config,
-        None,
-        Some(&telemetry),
-    );
-    let predicted_qft = verify_portfolio_recorded(
-        &qft_left,
-        &qft_right,
-        &predicted_config,
-        None,
-        Some(&telemetry),
-    );
+    let predicted_qpe =
+        verify_portfolio_recorded(&static_qpe, &iqpe, &predicted_config, Some(&telemetry));
+    let predicted_qft =
+        verify_portfolio_recorded(&qft_left, &qft_right, &predicted_config, Some(&telemetry));
 
     assert_eq!(
         predicted_qpe.verdict.considered_equivalent(),
@@ -397,120 +385,73 @@ fn predicted_matches_race_verdicts_and_launches_fewer_schemes() {
 }
 
 #[test]
-fn predicted_sharing_follows_recorded_payoff_with_identical_verdicts() {
-    // Non-tiny equivalent pair => threaded plans, where the sharing
-    // decision actually changes what the engine builds.
-    let left = ghz::ghz(10, false);
-    let right = ghz::ghz(10, false);
-    let features = PairFeatures::extract(&left, &right);
-    let predicted_config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..Default::default()
-    };
-
-    // Low recorded cross-thread hit rate (the small-miter signature from
-    // BENCH_shared.json, ~0.07): prediction races on private packages.
-    let mut low = TelemetryStore::new();
-    seed_winner(&mut low, &left, &right, Scheme::Simulative);
-    low.record_sharing(&features, 0.07, 0.001, 1.0);
-    let low_plan = plan(&left, &right, &predicted_config, Some(&low));
-    assert!(low_plan.predicted);
-    assert!(!low_plan.shared, "a low-payoff bucket must race private");
-    assert_eq!(low_plan.shared_reason, "predicted-private");
-
-    // High recorded hit rate with modest contention: prediction shares.
-    let mut high = TelemetryStore::new();
-    seed_winner(&mut high, &left, &right, Scheme::Simulative);
-    high.record_sharing(&features, 0.52, 0.02, 1.0);
-    let high_plan = plan(&left, &right, &predicted_config, Some(&high));
-    assert!(high_plan.shared, "a high-payoff bucket must share");
-    assert_eq!(high_plan.shared_reason, "predicted-shared");
-
-    // A good hit rate is vetoed when store locks ate the race time.
-    let mut contended = TelemetryStore::new();
-    seed_winner(&mut contended, &left, &right, Scheme::Simulative);
-    contended.record_sharing(&features, 0.52, 0.9, 1.0);
-    let contended_plan = plan(&left, &right, &predicted_config, Some(&contended));
-    assert!(!contended_plan.shared, "contention must veto sharing");
-    assert_eq!(contended_plan.shared_reason, "predicted-private");
-
-    // Scheme stats without sharing samples keep the config default.
-    let mut cold = TelemetryStore::new();
-    seed_winner(&mut cold, &left, &right, Scheme::Simulative);
-    let cold_plan = plan(&left, &right, &predicted_config, Some(&cold));
-    assert!(cold_plan.shared);
-    assert_eq!(cold_plan.shared_reason, "cold-telemetry");
-
-    // The race policy never predicts: config default, "race-default".
-    let race_plan = plan(&left, &right, &PortfolioConfig::default(), Some(&low));
-    assert!(race_plan.shared);
-    assert_eq!(race_plan.shared_reason, "race-default");
-
-    // --private-packages is absolute: no prediction can turn sharing on.
-    let private_config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        shared_package: false,
-        ..Default::default()
-    };
-    let private_plan = plan(&left, &right, &private_config, Some(&high));
-    assert!(!private_plan.shared);
-    assert_eq!(private_plan.shared_reason, "config-private");
-
-    // The acceptance half: whichever way the sharing prediction goes, the
-    // verdict must be exactly the race policy's.
-    let race_result = verify_portfolio(&left, &right, &PortfolioConfig::default());
-    assert!(race_result.shared);
-    assert_eq!(race_result.shared_reason, "race-default");
-    for store in [low, high] {
-        let telemetry = Mutex::new(store);
-        let result =
-            verify_portfolio_recorded(&left, &right, &predicted_config, None, Some(&telemetry));
-        assert_eq!(result.verdict, race_result.verdict);
-        assert_eq!(result.shared, result.shared_store.is_some());
-    }
-}
-
-#[test]
 fn stats_files_without_sharing_records_still_load() {
-    // Stats files written before the sharing field existed have no
-    // "sharing" key at all; the missing key deserializes as Null, which the
-    // Option field must absorb into a cold (config-default) decision.
+    // Stats files from before per-bucket sharing records have no "sharing"
+    // key at all and must keep loading.
     let old_format = r#"{"races": 3, "schemes": []}"#;
     let store = TelemetryStore::from_json(old_format).expect("old stats files must keep loading");
     assert_eq!(store.races, 3);
-    assert!(store.sharing.is_none());
-    let bucket = PairFeatures {
-        qubits: 10,
-        gates: 10,
-        non_unitary: 0,
-        gate_set_diff: 0,
-        gate_count_diff: 0,
-        dynamic: false,
-    }
-    .bucket();
-    assert!(store.sharing_stats(&bucket).is_none());
+    assert!(store.is_empty());
 
-    // And a store that *has* sharing records round-trips them.
-    let mut warm = TelemetryStore::new();
-    let features = PairFeatures {
-        qubits: 11,
-        gates: 100,
-        non_unitary: 0,
-        gate_set_diff: 0,
-        gate_count_diff: 0,
-        dynamic: false,
+    // Files written while shared-store racing existed end with a "sharing"
+    // block of per-bucket payoff records. Such a file must load, plan
+    // exactly like the same file without the block, and lose the block on
+    // the next save.
+    let left = ghz::ghz(10, false);
+    let right = ghz::ghz(10, false);
+    let mut seeded = TelemetryStore::new();
+    seed_winner(&mut seeded, &left, &right, Scheme::Simulative);
+    let without_block = seeded.to_json();
+    let bucket = PairFeatures::extract(&left, &right).bucket().to_string();
+    let mut fields = match serde_json::from_str::<serde_json::Value>(&without_block) {
+        Ok(serde_json::Value::Object(fields)) => fields,
+        other => panic!("stats file is not an object: {other:?}"),
     };
-    warm.record_sharing(&features, 0.5, 0.01, 2.0);
-    let reloaded = TelemetryStore::from_json(&warm.to_json()).expect("round trip");
-    let stats = reloaded
-        .sharing_stats(&features.bucket())
-        .expect("sharing survives the round trip");
-    assert_eq!(stats.races, 1);
-    assert!((stats.mean_hit_rate() - 0.5).abs() < 1e-12);
-    // Merging doubles the sharing counters like every other stat.
-    let mut merged = reloaded.clone();
-    merged.merge(&reloaded);
-    assert_eq!(merged.sharing_stats(&features.bucket()).unwrap().races, 2);
+    let record = |hit_rate: f64| {
+        serde_json::Value::Object(vec![
+            ("races".to_string(), serde_json::Value::Number(4.0)),
+            (
+                "hit_rate_sum".to_string(),
+                serde_json::Value::Number(hit_rate),
+            ),
+            (
+                "contention_secs_sum".to_string(),
+                serde_json::Value::Number(0.02),
+            ),
+            ("race_secs_sum".to_string(), serde_json::Value::Number(4.0)),
+        ])
+    };
+    fields.push((
+        "sharing".to_string(),
+        serde_json::Value::Object(vec![
+            (bucket, record(0.28)),
+            ("dynamic-w4".to_string(), record(2.0)),
+        ]),
+    ));
+    let with_block = serde_json::to_string_pretty(&serde_json::Value::Object(fields)).unwrap();
+    assert!(with_block.contains("\"hit_rate_sum\""), "{with_block}");
+
+    let loaded = TelemetryStore::from_json(&with_block).expect("a sharing block must not fail");
+    let plain = TelemetryStore::from_json(&without_block).expect("round trip");
+    assert_eq!(loaded.races, plain.races);
+    assert_eq!(loaded.schemes.len(), plain.schemes.len());
+    let predicted = PortfolioConfig {
+        policy: SchedulePolicy::predicted(),
+        ..Default::default()
+    };
+    let with_plan = plan(&left, &right, &predicted, Some(&loaded));
+    assert!(with_plan.predicted, "the seeded stats must steer the plan");
+    assert_eq!(with_plan, plan(&left, &right, &predicted, Some(&plain)));
+
+    let path = std::env::temp_dir().join(format!("sharing-block-{}.json", std::process::id()));
+    loaded.save(&path).expect("save stats");
+    let saved = std::fs::read_to_string(&path).expect("read saved stats");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        !saved.contains("sharing"),
+        "saving must drop the block: {saved}"
+    );
+    assert!(!saved.contains("hit_rate_sum"), "{saved}");
 }
 
 #[test]
@@ -519,7 +460,7 @@ fn telemetry_round_trips_through_save_load_merge() {
     let right = qft::qft_dynamic(10);
     let telemetry = Mutex::new(TelemetryStore::new());
     let config = PortfolioConfig::default();
-    verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     let store = telemetry.into_inner().unwrap();
     assert!(!store.is_empty());
     assert_eq!(store.races, 1);

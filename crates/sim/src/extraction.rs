@@ -240,28 +240,9 @@ pub fn extract_distribution_budgeted(
     config: &ExtractionConfig,
     budget: &Budget,
 ) -> Result<ExtractionResult, SimError> {
-    extract_distribution_budgeted_in(circuit, initial, config, budget, None)
-}
-
-/// [`extract_distribution_budgeted`] with an optional shared
-/// decision-diagram store (see [`dd::SharedStore`]): the extraction's
-/// package then attaches as a workspace, so the gate diagrams and state
-/// fragments it builds are shared with (and reused from) the other racing
-/// schemes of a portfolio.
-///
-/// # Errors
-///
-/// Same as [`extract_distribution_budgeted`].
-pub fn extract_distribution_budgeted_in(
-    circuit: &QuantumCircuit,
-    initial: Option<&[bool]>,
-    config: &ExtractionConfig,
-    budget: &Budget,
-    store: Option<&std::sync::Arc<dd::SharedStore>>,
-) -> Result<ExtractionResult, SimError> {
     let start = Instant::now();
     let n = circuit.num_qubits();
-    let mut package = DdPackage::with_store_config(store, n, budget.clone(), config.memory);
+    let mut package = DdPackage::with_config(n, budget.clone(), config.memory);
     let config = &ExtractionConfig {
         max_leaves: match (config.max_leaves, budget.max_leaves()) {
             (Some(a), Some(b)) => Some(a.min(b)),

@@ -38,8 +38,8 @@ mod stochastic;
 pub use distribution::OutcomeDistribution;
 pub use error::SimError;
 pub use extraction::{
-    extract_distribution, extract_distribution_budgeted, extract_distribution_budgeted_in,
-    extract_distribution_from, extract_distribution_parallel, ExtractionConfig, ExtractionResult,
+    extract_distribution, extract_distribution_budgeted, extract_distribution_from,
+    extract_distribution_parallel, ExtractionConfig, ExtractionResult,
 };
 pub use gate_map::{controls as dd_controls, gate_matrix};
 pub use statevector::StateVectorSimulator;

@@ -64,32 +64,15 @@ impl StateVectorSimulator {
     /// [`SimError::Interrupted`] when the budget's cancel token fires, its
     /// deadline passes or its node limit trips.
     pub fn with_budget(n_qubits: usize, budget: dd::Budget) -> Self {
-        StateVectorSimulator::with_budget_in(n_qubits, budget, None)
+        StateVectorSimulator::with_memory(n_qubits, budget, dd::MemoryConfig::default())
     }
 
-    /// [`with_budget`](Self::with_budget), optionally attaching the
-    /// simulator's package as a workspace of a shared decision-diagram store
-    /// (see [`dd::SharedStore`]) so racing verification schemes reuse each
-    /// other's subdiagrams.
-    pub fn with_budget_in(
-        n_qubits: usize,
-        budget: dd::Budget,
-        store: Option<&std::sync::Arc<dd::SharedStore>>,
-    ) -> Self {
-        StateVectorSimulator::with_memory_in(n_qubits, budget, dd::MemoryConfig::default(), store)
-    }
-
-    /// [`with_budget_in`](Self::with_budget_in) with explicit
+    /// [`with_budget`](Self::with_budget) with explicit
     /// [`dd::MemoryConfig`] sizing for the simulator's package — the hook
     /// through which the portfolio scheduler's per-scheme GC-threshold hints
     /// reach the simulative check.
-    pub fn with_memory_in(
-        n_qubits: usize,
-        budget: dd::Budget,
-        memory: dd::MemoryConfig,
-        store: Option<&std::sync::Arc<dd::SharedStore>>,
-    ) -> Self {
-        let mut package = DdPackage::with_store_config(store, n_qubits, budget, memory);
+    pub fn with_memory(n_qubits: usize, budget: dd::Budget, memory: dd::MemoryConfig) -> Self {
+        let mut package = DdPackage::with_config(n_qubits, budget, memory);
         let state = package.zero_state();
         // The current state is the garbage-collection root of the simulator:
         // everything else the package holds may be reclaimed between gates.
@@ -107,33 +90,21 @@ impl StateVectorSimulator {
     /// Combines [`with_budget`](Self::with_budget) and
     /// [`with_initial_state`](Self::with_initial_state).
     pub fn with_budget_and_initial_state(bits: &[bool], budget: dd::Budget) -> Self {
-        StateVectorSimulator::with_budget_and_initial_state_in(bits, budget, None)
-    }
-
-    /// [`with_budget_and_initial_state`](Self::with_budget_and_initial_state)
-    /// with an optional shared decision-diagram store.
-    pub fn with_budget_and_initial_state_in(
-        bits: &[bool],
-        budget: dd::Budget,
-        store: Option<&std::sync::Arc<dd::SharedStore>>,
-    ) -> Self {
-        StateVectorSimulator::with_memory_and_initial_state_in(
+        StateVectorSimulator::with_memory_and_initial_state(
             bits,
             budget,
             dd::MemoryConfig::default(),
-            store,
         )
     }
 
-    /// [`with_budget_and_initial_state_in`](Self::with_budget_and_initial_state_in)
+    /// [`with_budget_and_initial_state`](Self::with_budget_and_initial_state)
     /// with explicit [`dd::MemoryConfig`] sizing.
-    pub fn with_memory_and_initial_state_in(
+    pub fn with_memory_and_initial_state(
         bits: &[bool],
         budget: dd::Budget,
         memory: dd::MemoryConfig,
-        store: Option<&std::sync::Arc<dd::SharedStore>>,
     ) -> Self {
-        let mut sim = StateVectorSimulator::with_memory_in(bits.len(), budget, memory, store);
+        let mut sim = StateVectorSimulator::with_memory(bits.len(), budget, memory);
         let initial = sim.package.basis_state(bits);
         sim.set_state(initial);
         sim
@@ -302,11 +273,7 @@ impl StateVectorSimulator {
     ///
     /// Compared to running a second simulator and [`fidelity_with`]
     /// (Self::fidelity_with), this keeps a single decision-diagram package
-    /// alive — on a shared store, a single *attachment*, which matters for
-    /// the store's barrier garbage collection: a thread can only park one
-    /// workspace at a safe point, so a second simultaneous attachment on
-    /// the same thread would stall mid-race collections into the deferral
-    /// fallback.
+    /// alive, so the rerun reuses the gate diagrams the first run built.
     ///
     /// # Errors
     ///

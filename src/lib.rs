@@ -31,11 +31,11 @@
 //! Racing the schemes instead of picking one is the practical upshot of the
 //! paper: functional reconstruction (Section 4) and fixed-input extraction
 //! (Section 5) have wildly different cost profiles per circuit family, so
-//! the portfolio's wall time tracks whichever happens to be fast. Racing
-//! schemes share one concurrent decision-diagram store by default
-//! ([`dd::SharedStore`]), so the miter, simulative and extraction walkers
-//! reuse each other's gate diagrams and subdiagrams instead of re-interning
-//! them per thread:
+//! the portfolio's wall time tracks whichever happens to be fast. A
+//! [`dd::DdPackage`] is single-threaded, and a race runs one package per
+//! scheme thread: the racing schemes share nothing but a cancel token, so
+//! the race needs no locks and the losers unwind as soon as a winner
+//! reports:
 //!
 //! ```
 //! use algorithms::qpe;
