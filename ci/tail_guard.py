@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Tail-latency guard for the `verify` batch driver.
 
-Usage: tail_guard.py VERIFY_BIN MANIFEST [RUNS] [WORKERS]
+Usage: tail_guard.py VERIFY_BIN MANIFEST
 
-Runs ``verify --manifest MANIFEST --workers WORKERS`` RUNS times (default
-5 runs at 2 workers) and collects every pair's ``total_time``: the plain
-pairs and each verified chain step, keyed by name. It fails when any
-pair's slowest run took more than 3x its median run plus 50 ms, the shape
-of a pathological tail such as a garbage-collection stall on one run.
+Runs ``verify --manifest MANIFEST --workers 2`` five times and collects
+every pair's ``total_time``: the plain pairs and each verified chain
+step, keyed by name. It fails when any pair's slowest run took more than
+3x its median run plus 50 ms, the shape of a pathological tail such as a
+garbage-collection stall on one run.
 """
 
 import json
@@ -19,6 +19,8 @@ import tempfile
 
 FACTOR = 3.0
 SLACK_SECONDS = 0.05
+RUNS = 5
+WORKERS = "2"
 
 
 def fail(message):
@@ -36,17 +38,15 @@ def pair_times(report):
 
 
 def main():
-    if len(sys.argv) not in (3, 4, 5):
+    if len(sys.argv) != 3:
         fail(__doc__)
     verify_bin, manifest = sys.argv[1:3]
-    runs = int(sys.argv[3]) if len(sys.argv) > 3 else 5
-    workers = sys.argv[4] if len(sys.argv) > 4 else "2"
     times = {}
     with tempfile.TemporaryDirectory(prefix="tail-guard-") as tmp:
         out = os.path.join(tmp, "report.json")
-        for run in range(runs):
+        for run in range(RUNS):
             result = subprocess.run(
-                [verify_bin, "--manifest", manifest, "--workers", workers,
+                [verify_bin, "--manifest", manifest, "--workers", WORKERS,
                  "--compact", "--out", out],
                 stderr=subprocess.DEVNULL,
                 check=False,
@@ -61,15 +61,15 @@ def main():
         fail(f"{manifest} produced no pairs")
     offenders = []
     for name, samples in sorted(times.items()):
-        if len(samples) != runs:
-            fail(f"{name}: verified in {len(samples)} of {runs} runs")
+        if len(samples) != RUNS:
+            fail(f"{name}: verified in {len(samples)} of {RUNS} runs")
         median = statistics.median(samples)
         worst = max(samples)
         if worst > FACTOR * median + SLACK_SECONDS:
             offenders.append(f"{name}: max {worst:.3f}s vs median {median:.3f}s")
     if offenders:
         fail("tail above 3x median + 50ms:\n  " + "\n  ".join(offenders))
-    print(f"tail guard ok: {len(times)} pairs x {runs} runs at --workers {workers}, "
+    print(f"tail guard ok: {len(times)} pairs x {RUNS} runs at --workers {WORKERS}, "
           f"every max <= {FACTOR:g}x median + {SLACK_SECONDS * 1000:.0f} ms")
 
 

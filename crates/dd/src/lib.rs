@@ -119,7 +119,6 @@
 //! |---|---|---|
 //! | `dd.compute.lookups` / `dd.compute.hits` | count | folded at package drop; live packages are invisible until then |
 //! | `dd.gate.lookups` / `dd.gate.hits` | count | repeated single-gate circuits hit ~100% regardless of cache quality |
-//! | `dd.unique.hits` | count | folded at package drop; counts re-interns within one package, so repeated construction shows up as hits |
 //! | `dd.gc.runs` / `dd.gc.reclaimed` | count | high counts can be healthy pressure or a thrashing threshold — check reclaimed per run |
 //! | `dd.ctab.compacted` | count | entries, not bytes; rehashing survivors is not counted |
 //! | `dd.kernels.backend_avx2` / `_scalar` | count | one increment per process at first dispatch — a config gauge, not a usage meter |
@@ -127,10 +126,11 @@
 //! | `dd.ctab.batch_interned` | count | counts weights, not batches; says nothing about lock acquisitions saved |
 //! | `dd.gates.twiddle_hits` | count | only cold gate-DD builds reach this path — the gate cache absorbs repeats first |
 //!
-//! The catalogue still lists `dd.unique.cross_thread_hits`,
-//! `dd.store.shard_contention_ns` and `dd.gc.park_ns`, which only a shared
-//! multi-thread store could fill: they always read 0 now, and are kept
-//! because the benchmark harness reads them.
+//! The catalogue still lists `dd.unique.hits`,
+//! `dd.unique.cross_thread_hits`, `dd.store.shard_contention_ns` and
+//! `dd.gc.park_ns`, which only a shared multi-thread store filled: they
+//! always read 0 now, and are kept because the benchmark harness reads
+//! them.
 //!
 //! Trace events: one `gc.private` event per collection, with the reclaimed
 //! node and complex-table counts.

@@ -296,9 +296,6 @@ pub struct DdPackage {
     allocated_nodes: u64,
     reclaimed_nodes: u64,
     complex_reclaimed: u64,
-    /// Unique-table lookups answered by an existing node, folded into the
-    /// `dd.unique.hits` metric when the package drops.
-    unique_hits: u64,
     peak_nodes: usize,
     budget: Budget,
     exceeded: Option<LimitExceeded>,
@@ -378,7 +375,6 @@ impl DdPackage {
             allocated_nodes: 0,
             reclaimed_nodes: 0,
             complex_reclaimed: 0,
-            unique_hits: 0,
             peak_nodes: 0,
             budget,
             exceeded: None,
@@ -774,7 +770,6 @@ impl DdPackage {
         let gate = self.gate_cache.counters();
         obs::metrics::add(obs::metrics::DD_GATE_LOOKUPS, gate.lookups);
         obs::metrics::add(obs::metrics::DD_GATE_HITS, gate.hits);
-        obs::metrics::add(obs::metrics::DD_UNIQUE_HITS, self.unique_hits);
         obs::metrics::add(obs::metrics::DD_DENSE_APPLIES, self.dense_applies);
     }
 
@@ -891,7 +886,6 @@ impl DdPackage {
         let hash = fx_hash(&node);
         let vnodes = &self.vnodes;
         if let Some(id) = self.vunique[level].find(hash, |id| vnodes[id as usize] == node) {
-            self.unique_hits += 1;
             return NodeId(id);
         }
         let idx = match self.vfree.pop() {
@@ -953,7 +947,6 @@ impl DdPackage {
         let hash = fx_hash(&node);
         let mnodes = &self.mnodes;
         if let Some(id) = self.munique[level].find(hash, |id| mnodes[id as usize] == node) {
-            self.unique_hits += 1;
             return NodeId(id);
         }
         let idx = match self.mfree.pop() {

@@ -73,8 +73,8 @@ catalog! {
     DD_GATE_LOOKUPS = ("dd.gate.lookups", Unit::Count, "lookups of a lossy cache: an evicted diagram is rebuilt and looked up again, so a count can exceed the distinct gates of a circuit");
     /// Gate-DD cache hits, folded at package drop.
     DD_GATE_HITS = ("dd.gate.hits", Unit::Count, "repeated single-gate circuits hit ~100% regardless of cache quality");
-    /// Unique-table intern calls that found an existing node, folded at package drop.
-    DD_UNIQUE_HITS = ("dd.unique.hits", Unit::Count, "counts re-interns within one package; a high count means repeated construction, not reuse across schemes");
+    /// Retired: unique-table intern hits, which only the shared store counted.
+    DD_UNIQUE_HITS = ("dd.unique.hits", Unit::Count, "always 0: private packages do not count intern hits; kept because the benchmark harness reads it");
     /// Retired: intern hits on a node another thread interned first.
     DD_CROSS_THREAD_HITS = ("dd.unique.cross_thread_hits", Unit::Count, "always 0: every scheme runs on private packages now; kept because the benchmark harness reads it");
     /// Garbage collections.

@@ -50,7 +50,7 @@
 
 use portfolio::batch::{load_manifest, manifest_from_dir, run_batch, BatchOptions, Manifest};
 use portfolio::chain::{ChainSpec, ChainStepSpec};
-use portfolio::SchedulePolicy;
+use portfolio::{positive_flag, SchedulePolicy};
 use std::path::PathBuf;
 
 struct Args {
@@ -98,9 +98,9 @@ fn parse_args() -> Result<Args, String> {
             "--dir" => args.dir = Some(PathBuf::from(value("--dir")?)),
             "--chain" => args.chains.push(value("--chain")?),
             "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--workers" => args.workers = Some(positive("--workers", value("--workers")?)?),
+            "--workers" => args.workers = Some(positive_flag("--workers", value("--workers")?)?),
             "--node-limit" => {
-                args.node_limit = Some(positive("--node-limit", value("--node-limit")?)?);
+                args.node_limit = Some(positive_flag("--node-limit", value("--node-limit")?)?);
             }
             "--leaf-limit" => {
                 args.leaf_limit = Some(
@@ -157,14 +157,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("exactly one of --manifest, --dir or --chain is required".to_string());
     }
     Ok(args)
-}
-
-/// Parses a flag value that must be a positive integer.
-fn positive(flag: &str, value: String) -> Result<usize, String> {
-    match value.parse() {
-        Ok(0) | Err(_) => Err(format!("{flag} must be a positive integer, got `{value}`")),
-        Ok(n) => Ok(n),
-    }
 }
 
 /// Builds a chains-only manifest from repeated `--chain A,B,C` flags.

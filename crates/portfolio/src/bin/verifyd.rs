@@ -37,7 +37,7 @@ use portfolio::service::{
     ChainOutcome, Request, RequestOutcome, ServiceConfig, Source, VerificationService,
 };
 use portfolio::wire::{self, code, Frame, RpcRequest};
-use portfolio::SchedulePolicy;
+use portfolio::{positive_flag, SchedulePolicy};
 use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
@@ -78,7 +78,7 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--socket" => args.socket = Some(PathBuf::from(value("--socket")?)),
-            "--workers" => args.workers = Some(positive("--workers", value("--workers")?)?),
+            "--workers" => args.workers = Some(positive_flag("--workers", value("--workers")?)?),
             "--max-queue" => {
                 args.max_queue = Some(
                     value("--max-queue")?
@@ -96,7 +96,7 @@ fn parse_args() -> Result<Args, String> {
                 args.deadline = Some(seconds);
             }
             "--node-limit" => {
-                args.node_limit = Some(positive("--node-limit", value("--node-limit")?)?);
+                args.node_limit = Some(positive_flag("--node-limit", value("--node-limit")?)?);
             }
             "--policy" => {
                 let policy = value("--policy")?;
@@ -128,14 +128,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Parses a flag value that must be a positive integer.
-fn positive(flag: &str, value: String) -> Result<usize, String> {
-    match value.parse() {
-        Ok(0) | Err(_) => Err(format!("{flag} must be a positive integer, got `{value}`")),
-        Ok(n) => Ok(n),
-    }
 }
 
 /// Daemon-global state shared by every connection thread.

@@ -225,3 +225,12 @@ pub use engine::{
 pub use scheduler::SchedulePolicy;
 pub use scheme::Scheme;
 pub use telemetry::{PairFeatures, TelemetryStore};
+
+/// Parses a command-line flag value that must be a positive integer, as
+/// `--workers` and `--node-limit` in both front-ends (`verify`, `verifyd`).
+pub fn positive_flag(flag: &str, value: String) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) | Err(_) => Err(format!("{flag} must be a positive integer, got `{value}`")),
+        Ok(n) => Ok(n),
+    }
+}
