@@ -345,7 +345,6 @@ proptest! {
             unary_cache_bits: 1,
             gate_cache_bits: 1,
             gc_threshold: None,
-            ..MemoryConfig::default()
         };
         let mut small = DdPackage::with_config(N, Budget::unlimited(), tiny);
         let mut large = DdPackage::new(N);
@@ -396,93 +395,4 @@ fn repeated_gate_circuit_peak_nodes_stay_bounded() {
         with_gc.peak_nodes,
         without_gc.peak_nodes
     );
-}
-
-// ---------------------------------------------------------------------
-// Batched interning parity
-// ---------------------------------------------------------------------
-
-/// A value jittered around a bucket-grid corner: `jr`/`ji` in `(-1, 1)`
-/// place it up to one full bucket away from the corner in each component,
-/// the adversarial zone where the scalar probe's neighbour-bucket search
-/// and tolerance merge decisions all fire.
-fn boundary_value(kr: i64, ki: i64, jr: f64, ji: f64) -> Complex {
-    Complex::new(
-        0.5 + (kr as f64 + jr) * dd::TOLERANCE,
-        0.25 + (ki as f64 + ji) * dd::TOLERANCE,
-    )
-}
-
-/// Interns `values` one-by-one in a fresh table (the scalar reference) and
-/// as chunked batches in another, asserting identical index sequences and
-/// identical final table sizes.
-fn assert_batch_matches_scalar(values: &[Complex], chunk: usize) {
-    let mut scalar_table = dd::ComplexTable::new();
-    let want: Vec<dd::CIdx> = values.iter().map(|&v| scalar_table.lookup(v)).collect();
-    let mut batch_table = dd::ComplexTable::new();
-    let mut got = Vec::new();
-    for part in values.chunks(chunk.max(1)) {
-        batch_table.lookup_batch(part, &mut got);
-    }
-    assert_eq!(got, want, "batched CIdx sequence diverged from scalar");
-    assert_eq!(
-        batch_table.len(),
-        scalar_table.len(),
-        "batched interning created a different number of slots"
-    );
-}
-
-proptest! {
-    /// `lookup_batch` returns exactly the index sequence the scalar
-    /// `lookup` loop produces on random inputs, for any batch chunking.
-    #[test]
-    fn batch_interning_matches_scalar_random(
-        raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..200),
-        chunk in 1usize..64,
-    ) {
-        let values: Vec<Complex> = raw.into_iter().map(|(re, im)| Complex::new(re, im)).collect();
-        assert_batch_matches_scalar(&values, chunk);
-    }
-
-    /// Same parity on adversarial inputs: clusters of values straddling
-    /// bucket-grid boundaries within (and just outside) the merge
-    /// tolerance, where first-match order decides which index wins.
-    #[test]
-    fn batch_interning_matches_scalar_near_bucket_boundaries(
-        corners in proptest::collection::vec((-40i64..40, -40i64..40), 1..8),
-        jitters in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..64),
-        chunk in 1usize..32,
-    ) {
-        let mut values = Vec::new();
-        for &(kr, ki) in &corners {
-            for &(jr, ji) in &jitters {
-                values.push(boundary_value(kr, ki, jr, ji));
-            }
-        }
-        assert_batch_matches_scalar(&values, chunk);
-    }
-}
-
-/// Deterministic adversarial cases: exact-boundary offsets (differences of
-/// exactly one tolerance, which must NOT merge under the strict `<`
-/// predicate) and repeats interleaved with near-misses.
-#[test]
-fn batch_interning_exact_boundary_cases() {
-    let t = dd::TOLERANCE;
-    let values = vec![
-        Complex::real(0.5),
-        Complex::real(0.5 + t),       // exactly one tolerance away: distinct
-        Complex::real(0.5 + 0.5 * t), // within tolerance of both neighbours
-        Complex::real(0.5 - 0.5 * t),
-        Complex::new(0.5, t),
-        Complex::new(0.5, 0.999 * t),
-        Complex::ZERO,
-        Complex::new(0.4 * t, 0.0), // inside the zero shortcut's tolerance
-        Complex::ONE,
-        Complex::new(1.0 + 0.4 * t, 0.0),
-        Complex::real(0.5), // repeat of the first entry
-    ];
-    for chunk in [1, 2, 3, values.len()] {
-        assert_batch_matches_scalar(&values, chunk);
-    }
 }

@@ -101,10 +101,6 @@ catalog! {
     DD_KERNEL_BACKEND_AVX2 = ("dd.kernels.backend_avx2", Unit::Count, "records the dispatch decision, not usage: a process can select AVX2 and never run a single kernel");
     /// Process resolved the scalar kernel backend (at most 1 per process).
     DD_KERNEL_BACKEND_SCALAR = ("dd.kernels.backend_scalar", Unit::Count, "scalar means the autovectorizable fallback, which the compiler may still emit SIMD for");
-    /// Apply/mul/add recursions that dropped to the dense terminal-case kernel, folded at package drop.
-    DD_DENSE_APPLIES = ("dd.dense.applies", Unit::Count, "counts compute-cache *misses* routed dense; a high hit rate makes this small even when the cutoff does all the residual work");
-    /// Weights interned through the batched lookup path (one add per batch).
-    DD_BATCH_INTERNED = ("dd.ctab.batch_interned", Unit::Count, "counts weights, not batches; zero/one shortcuts and memo hits resolved before the table lock are included");
     /// Gate-matrix phase factors served from the precomputed twiddle table.
     DD_TWIDDLE_HITS = ("dd.gates.twiddle_hits", Unit::Count, "only cold gate-DD builds reach this path; a warm gate cache makes the count tiny regardless of the table's value");
     /// Requests admitted by the verification service (queued or dispatched).

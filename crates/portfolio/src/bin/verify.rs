@@ -16,7 +16,9 @@
 //!   --workers N       pair-level worker threads (default: cores / 4; N > 0)
 //!   --node-limit N    per-scheme decision-diagram node budget (N > 0)
 //!   --leaf-limit N    extraction leaf budget for the fixed-input scheme
-//!   --deadline SECS   wall-clock deadline per pair (fractional seconds ok)
+//!                     (N > 0)
+//!   --deadline SECS   wall-clock deadline per pair (fractional seconds ok;
+//!                     SECS > 0)
 //!   --stats-file FILE persistent scheme telemetry: loaded before the batch,
 //!                     folded with this batch's telemetry, saved back after.
 //!                     Switches the scheduler to the predicted policy (top-2
@@ -26,11 +28,6 @@
 //!   --policy P        race | predicted — force the launch policy
 //!                     (predicted without --stats-file plans from an empty
 //!                     store, i.e. races)
-//!   --dense-cutoff N  decision-diagram level at or below which the mat·vec
-//!                     apply and vector-add recursions drop to the dense SoA
-//!                     kernels — matrix·matrix recursions always stay
-//!                     node-at-a-time (0 disables the dense path; default 3,
-//!                     clamped to 6)
 //!   --trace-file FILE write a structured JSONL trace of the run: pair and
 //!                     race spans, scheme launches, verdicts, cancellations,
 //!                     escalations and garbage collections, all tagged with
@@ -50,8 +47,9 @@
 
 use portfolio::batch::{load_manifest, manifest_from_dir, run_batch, BatchOptions, Manifest};
 use portfolio::chain::{ChainSpec, ChainStepSpec};
-use portfolio::{positive_flag, SchedulePolicy};
+use portfolio::{deadline_flag, policy_flag, positive_flag, SchedulePolicy};
 use std::path::PathBuf;
+use std::time::Duration;
 
 struct Args {
     manifest: Option<PathBuf>,
@@ -61,10 +59,9 @@ struct Args {
     workers: Option<usize>,
     node_limit: Option<usize>,
     leaf_limit: Option<usize>,
-    deadline: Option<f64>,
+    deadline: Option<Duration>,
     stats_file: Option<PathBuf>,
-    policy: Option<String>,
-    dense_cutoff: Option<u32>,
+    policy: Option<SchedulePolicy>,
     trace_file: Option<PathBuf>,
     metrics: bool,
     compact: bool,
@@ -82,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
         deadline: None,
         stats_file: None,
         policy: None,
-        dense_cutoff: None,
         trace_file: None,
         metrics: false,
         compact: false,
@@ -103,37 +99,11 @@ fn parse_args() -> Result<Args, String> {
                 args.node_limit = Some(positive_flag("--node-limit", value("--node-limit")?)?);
             }
             "--leaf-limit" => {
-                args.leaf_limit = Some(
-                    value("--leaf-limit")?
-                        .parse()
-                        .map_err(|_| "invalid --leaf-limit")?,
-                )
+                args.leaf_limit = Some(positive_flag("--leaf-limit", value("--leaf-limit")?)?);
             }
-            "--deadline" => {
-                let seconds: f64 = value("--deadline")?
-                    .parse()
-                    .map_err(|_| "invalid --deadline")?;
-                if !seconds.is_finite() || seconds <= 0.0 {
-                    return Err("--deadline must be a positive number of seconds".to_string());
-                }
-                args.deadline = Some(seconds);
-            }
+            "--deadline" => args.deadline = Some(deadline_flag(value("--deadline")?)?),
             "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
-            "--policy" => {
-                let policy = value("--policy")?;
-                if policy != "race" && policy != "predicted" {
-                    return Err(format!(
-                        "--policy must be `race` or `predicted`, got `{policy}`"
-                    ));
-                }
-                args.policy = Some(policy);
-            }
-            "--dense-cutoff" => {
-                let cutoff: u32 = value("--dense-cutoff")?
-                    .parse()
-                    .map_err(|_| "--dense-cutoff must be a non-negative integer".to_string())?;
-                args.dense_cutoff = Some(cutoff);
-            }
+            "--policy" => args.policy = Some(policy_flag(value("--policy")?)?),
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--metrics" => args.metrics = true,
             "--compact" => args.compact = true,
@@ -142,7 +112,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: verify (--manifest FILE | --dir DIR | --chain A,B,C...) \
                      [--out FILE] [--workers N] \
                      [--node-limit N] [--leaf-limit N] [--deadline SECS] \
-                     [--stats-file FILE] [--policy race|predicted] [--dense-cutoff N] \
+                     [--stats-file FILE] [--policy race|predicted] \
                      [--trace-file FILE] [--metrics] [--compact]"
                 );
                 std::process::exit(0);
@@ -241,19 +211,14 @@ fn main() {
     }
     options.portfolio.node_limit = args.node_limit;
     options.portfolio.leaf_limit = args.leaf_limit;
-    options.portfolio.deadline = args.deadline.map(std::time::Duration::from_secs_f64);
-    if let Some(cutoff) = args.dense_cutoff {
-        options.portfolio.configuration.memory.dense_cutoff = cutoff;
-        options.portfolio.extraction.memory.dense_cutoff = cutoff;
-    }
+    options.portfolio.deadline = args.deadline;
     // A stats file implies the predicted policy (that is its point); an
     // explicit --policy always wins. Prediction with a cold store degrades
     // to racing inside the scheduler, so the combination is always safe.
-    options.portfolio.policy = match (args.policy.as_deref(), &args.stats_file) {
-        (Some("race"), _) => SchedulePolicy::Race,
-        (Some("predicted"), _) | (None, Some(_)) => SchedulePolicy::predicted(),
+    options.portfolio.policy = match (args.policy, &args.stats_file) {
+        (Some(policy), _) => policy,
+        (None, Some(_)) => SchedulePolicy::predicted(),
         (None, None) => SchedulePolicy::Race,
-        (Some(other), _) => unreachable!("validated by parse_args: {other}"),
     };
     options.stats = args.stats_file;
 

@@ -13,8 +13,8 @@
 //!         [--stats-file FILE] [--trace-file FILE] [--max-frame-bytes N]
 //! ```
 //!
-//! `--workers` and `--node-limit` take positive integers; 0 is a usage
-//! error.
+//! `--workers` and `--node-limit` take positive integers and `--deadline` a
+//! positive number of seconds; 0 is a usage error.
 //!
 //! Methods: `verify-pair`, `verify-chain`, `verify-batch`, `stats`,
 //! `drain`, `shutdown` (wire details in [`portfolio::wire`]). Responses are
@@ -37,7 +37,7 @@ use portfolio::service::{
     ChainOutcome, Request, RequestOutcome, ServiceConfig, Source, VerificationService,
 };
 use portfolio::wire::{self, code, Frame, RpcRequest};
-use portfolio::{positive_flag, SchedulePolicy};
+use portfolio::{deadline_flag, policy_flag, positive_flag, SchedulePolicy};
 use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
@@ -50,9 +50,9 @@ struct Args {
     socket: Option<PathBuf>,
     workers: Option<usize>,
     max_queue: Option<usize>,
-    deadline: Option<f64>,
+    deadline: Option<Duration>,
     node_limit: Option<usize>,
-    policy: Option<String>,
+    policy: Option<SchedulePolicy>,
     stats_file: Option<PathBuf>,
     trace_file: Option<PathBuf>,
     max_frame: usize,
@@ -86,27 +86,11 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "--max-queue must be a non-negative integer".to_string())?,
                 );
             }
-            "--deadline" => {
-                let seconds: f64 = value("--deadline")?
-                    .parse()
-                    .map_err(|_| "invalid --deadline")?;
-                if !seconds.is_finite() || seconds <= 0.0 {
-                    return Err("--deadline must be a positive number of seconds".to_string());
-                }
-                args.deadline = Some(seconds);
-            }
+            "--deadline" => args.deadline = Some(deadline_flag(value("--deadline")?)?),
             "--node-limit" => {
                 args.node_limit = Some(positive_flag("--node-limit", value("--node-limit")?)?);
             }
-            "--policy" => {
-                let policy = value("--policy")?;
-                if policy != "race" && policy != "predicted" {
-                    return Err(format!(
-                        "--policy must be `race` or `predicted`, got `{policy}`"
-                    ));
-                }
-                args.policy = Some(policy);
-            }
+            "--policy" => args.policy = Some(policy_flag(value("--policy")?)?),
             "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--max-frame-bytes" => {
@@ -661,16 +645,15 @@ fn main() {
     if let Some(max_queue) = args.max_queue {
         config.max_queue = max_queue;
     }
-    config.portfolio.deadline = args.deadline.map(Duration::from_secs_f64);
+    config.portfolio.deadline = args.deadline;
     config.portfolio.node_limit = args.node_limit;
     // Like `verify`: a stats file implies the predicted policy unless an
     // explicit --policy overrides; prediction over an empty store degrades
     // to racing inside the scheduler.
-    config.portfolio.policy = match (args.policy.as_deref(), &args.stats_file) {
-        (Some("race"), _) => SchedulePolicy::Race,
-        (Some("predicted"), _) | (None, Some(_)) => SchedulePolicy::predicted(),
+    config.portfolio.policy = match (args.policy, &args.stats_file) {
+        (Some(policy), _) => policy,
+        (None, Some(_)) => SchedulePolicy::predicted(),
         (None, None) => SchedulePolicy::Race,
-        (Some(other), _) => unreachable!("validated by parse_args: {other}"),
     };
     config.stats = args.stats_file;
 

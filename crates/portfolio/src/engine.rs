@@ -73,9 +73,7 @@ impl PortfolioConfig {
     /// A copy of the config with the scheduler's per-scheme memory hints
     /// folded into the memory configuration of every package the scheme
     /// will create. Hints only ever *tighten*: the GC-threshold hint can
-    /// only lower thresholds (a disabled automatic GC stays disabled), and
-    /// the dense-cutoff hint can only lower the cutoff (a cutoff the
-    /// operator already set to 0 stays 0).
+    /// only lower thresholds (a disabled automatic GC stays disabled).
     fn with_hints(&self, scheduled: &crate::scheduler::ScheduledScheme) -> PortfolioConfig {
         let mut config = self.clone();
         if let Some(hint) = scheduled.gc_hint {
@@ -85,11 +83,6 @@ impl PortfolioConfig {
             if let Some(threshold) = config.extraction.memory.gc_threshold {
                 config.extraction.memory.gc_threshold = Some(threshold.min(hint));
             }
-        }
-        if let Some(hint) = scheduled.dense_hint {
-            config.configuration.memory.dense_cutoff =
-                config.configuration.memory.dense_cutoff.min(hint);
-            config.extraction.memory.dense_cutoff = config.extraction.memory.dense_cutoff.min(hint);
         }
         config
     }

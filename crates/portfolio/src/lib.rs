@@ -227,10 +227,33 @@ pub use scheme::Scheme;
 pub use telemetry::{PairFeatures, TelemetryStore};
 
 /// Parses a command-line flag value that must be a positive integer, as
-/// `--workers` and `--node-limit` in both front-ends (`verify`, `verifyd`).
+/// `--workers`, `--node-limit` and `--leaf-limit` in the front-ends
+/// (`verify`, `verifyd`).
 pub fn positive_flag(flag: &str, value: String) -> Result<usize, String> {
     match value.parse() {
         Ok(0) | Err(_) => Err(format!("{flag} must be a positive integer, got `{value}`")),
         Ok(n) => Ok(n),
+    }
+}
+
+/// Parses the `--deadline SECS` value of both front-ends: a positive
+/// number of seconds (fractions allowed) that fits a `Duration`.
+pub fn deadline_flag(value: String) -> Result<std::time::Duration, String> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|&seconds| seconds > 0.0)
+        .and_then(|seconds| std::time::Duration::try_from_secs_f64(seconds).ok())
+        .ok_or_else(|| format!("--deadline must be a positive number of seconds, got `{value}`"))
+}
+
+/// Parses the `--policy race|predicted` value of both front-ends.
+pub fn policy_flag(value: String) -> Result<SchedulePolicy, String> {
+    match value.as_str() {
+        "race" => Ok(SchedulePolicy::Race),
+        "predicted" => Ok(SchedulePolicy::predicted()),
+        _ => Err(format!(
+            "--policy must be `race` or `predicted`, got `{value}`"
+        )),
     }
 }

@@ -1,6 +1,9 @@
 //! Usage errors of the `verify` and `verifyd` front-ends: a zero node
-//! limit would trip every scheme's budget on its first node, and a zero
-//! worker count would silently run one worker, so both reject 0.
+//! limit would trip every scheme's budget on its first node, a zero leaf
+//! limit would stop every distribution extraction at its first leaf, a zero
+//! deadline would expire before the race starts, and a zero worker count
+//! would silently run one worker, so all of them reject 0. An unknown
+//! `--policy` is rejected rather than guessed.
 
 use std::process::{Command, Stdio};
 
@@ -17,16 +20,26 @@ fn run(binary: &str, args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-fn assert_usage_error(binary: &str, flag: &str) {
-    let (code, stderr) = run(binary, &[flag, "0"]);
+/// Asserts that `binary flag value` exits 2 and that stderr contains `why`.
+fn assert_rejected(binary: &str, flag: &str, value: &str, why: &str) {
+    let (code, stderr) = run(binary, &[flag, value]);
     assert_eq!(
         code,
         Some(2),
-        "{binary} {flag} 0 must be a usage error: {stderr}"
+        "{binary} {flag} {value} must be a usage error: {stderr}"
     );
     assert!(
-        stderr.contains(&format!("{flag} must be a positive integer")),
-        "{binary} {flag} 0 must say why: {stderr}"
+        stderr.contains(why),
+        "{binary} {flag} {value} must say why: {stderr}"
+    );
+}
+
+fn assert_usage_error(binary: &str, flag: &str) {
+    assert_rejected(
+        binary,
+        flag,
+        "0",
+        &format!("{flag} must be a positive integer"),
     );
 }
 
@@ -38,6 +51,38 @@ fn verify_rejects_a_zero_node_limit() {
 #[test]
 fn verify_rejects_zero_workers() {
     assert_usage_error(env!("CARGO_BIN_EXE_verify"), "--workers");
+}
+
+#[test]
+fn verify_rejects_a_zero_leaf_limit() {
+    assert_usage_error(env!("CARGO_BIN_EXE_verify"), "--leaf-limit");
+}
+
+#[test]
+fn both_front_ends_reject_a_zero_or_overflowing_deadline() {
+    // 1e300 seconds does not fit a `Duration`; converting it would panic.
+    for binary in [env!("CARGO_BIN_EXE_verify"), env!("CARGO_BIN_EXE_verifyd")] {
+        for seconds in ["0", "1e300"] {
+            assert_rejected(
+                binary,
+                "--deadline",
+                seconds,
+                "--deadline must be a positive number of seconds",
+            );
+        }
+    }
+}
+
+#[test]
+fn both_front_ends_reject_an_unknown_policy() {
+    for binary in [env!("CARGO_BIN_EXE_verify"), env!("CARGO_BIN_EXE_verifyd")] {
+        assert_rejected(
+            binary,
+            "--policy",
+            "bogus",
+            "--policy must be `race` or `predicted`",
+        );
+    }
 }
 
 #[test]
@@ -62,15 +107,30 @@ fn positive_values_are_accepted() {
             "1",
             "--workers",
             "1",
+            "--leaf-limit",
+            "1",
+            "--deadline",
+            "0.5",
+            "--policy",
+            "race",
             "--dir",
             "/nonexistent",
         ],
     );
     assert_eq!(code, Some(2));
-    assert!(!stderr.contains("positive integer"), "{stderr}");
+    assert!(!stderr.contains("must be"), "{stderr}");
     let (code, stderr) = run(
         env!("CARGO_BIN_EXE_verifyd"),
-        &["--node-limit", "1", "--workers", "1"],
+        &[
+            "--node-limit",
+            "1",
+            "--workers",
+            "1",
+            "--deadline",
+            "0.5",
+            "--policy",
+            "predicted",
+        ],
     );
     assert_eq!(code, Some(0), "{stderr}");
 }

@@ -75,11 +75,34 @@ fn expired_deadline_stops_every_scheme() {
 
 #[test]
 fn non_equivalent_pair_is_refuted() {
-    let static_bv = bv::bv_static(&[true, false, true], true);
-    let dynamic_bv = bv::bv_dynamic(&[true, true, true]);
-    let result = verify_portfolio(&static_bv, &dynamic_bv, &PortfolioConfig::default());
-    assert_eq!(result.verdict, Equivalence::NotEquivalent);
-    assert!(result.winner.is_some());
+    // A dynamic BV pair with a flipped secret bit, and an 8-qubit QFT
+    // against its banded approximation.
+    let pairs = [
+        (
+            bv::bv_static(&[true, false, true], true),
+            bv::bv_dynamic(&[true, true, true]),
+        ),
+        (
+            qft::qft_static(8, None, false),
+            qft::qft_static(8, Some(2), false),
+        ),
+    ];
+    for (left, right) in &pairs {
+        let result = verify_portfolio(left, right, &PortfolioConfig::default());
+        assert_eq!(result.verdict, Equivalence::NotEquivalent);
+        assert!(result.winner.is_some());
+    }
+    // Whichever scheme wins the race, the mat·vec recursion alone must
+    // refute the wide pair too.
+    let (left, right) = &pairs[1];
+    let report = portfolio::run_scheme(
+        Scheme::Simulative,
+        left,
+        right,
+        &PortfolioConfig::default(),
+        &qcec::Budget::unlimited(),
+    );
+    assert_eq!(report.verdict, Some(Equivalence::NotEquivalent));
 }
 
 #[test]

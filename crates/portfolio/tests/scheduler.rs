@@ -108,48 +108,6 @@ fn predicted_winner_carries_a_gc_hint_from_peak_telemetry() {
 }
 
 #[test]
-fn dense_hint_fires_only_on_near_identity_buckets_with_small_peaks() {
-    // Identical circuits bucket as near-identity, and the seeded winner's
-    // peak telemetry (max 1000 nodes) is under the dense-loss ceiling:
-    // dense apply is predicted to be a loss and hinted off.
-    let left = ghz::ghz(10, false);
-    let right = ghz::ghz(10, false);
-    let config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..Default::default()
-    };
-    let mut store = TelemetryStore::new();
-    seed_winner(&mut store, &left, &right, Scheme::Simulative);
-    let near_plan = plan(&left, &right, &config, Some(&store));
-    assert_eq!(near_plan.primary[0].dense_hint, Some(0));
-    // Losing schemes were seeded without peak samples: no evidence, no hint.
-    assert_eq!(near_plan.primary[1].dense_hint, None);
-
-    // Same bucket, but the winner's miters peaked above the ceiling — the
-    // pair built dense blocks worth vectorizing, so the hint must not fire.
-    let bucket = PairFeatures::extract(&left, &right).bucket();
-    assert!(bucket.near_identity, "identical circuits are near-identity");
-    let key = TelemetryStore::key(Scheme::Simulative, &bucket);
-    store.schemes.get_mut(&key).unwrap().peak_nodes_max =
-        portfolio::scheduler::DENSE_LOSS_PEAK_CEILING + 1;
-    let big_plan = plan(&left, &right, &config, Some(&store));
-    assert_eq!(big_plan.primary[0].dense_hint, None);
-
-    // A pair whose bucket is *not* near-identity never gets the hint, no
-    // matter how small its peaks measured.
-    let far_left = qft::qft_static(10, None, true);
-    let far_right = ghz::ghz(10, false);
-    let far_bucket = PairFeatures::extract(&far_left, &far_right).bucket();
-    assert!(!far_bucket.near_identity);
-    let mut far_store = TelemetryStore::new();
-    seed_winner(&mut far_store, &far_left, &far_right, Scheme::Simulative);
-    let far_plan = plan(&far_left, &far_right, &config, Some(&far_store));
-    for scheduled in far_plan.primary.iter().chain(far_plan.reserve.iter()) {
-        assert_eq!(scheduled.dense_hint, None, "{:?}", scheduled.scheme);
-    }
-}
-
-#[test]
 fn empty_stats_degrade_predicted_to_exact_race_plan() {
     let left = qft::qft_static(10, None, true);
     let right = qft::qft_dynamic(10);
