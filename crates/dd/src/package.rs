@@ -1815,6 +1815,10 @@ impl DdPackage {
     /// Projects `qubit` onto `outcome`, optionally renormalising the result.
     ///
     /// Returns the projected state and the probability of the outcome.
+    /// Callers that already hold the outcome probability (from
+    /// [`probabilities`](Self::probabilities)) should call
+    /// [`project`](Self::project) instead and skip the second probability
+    /// walk.
     pub fn collapse(
         &mut self,
         v: VEdge,
@@ -1827,16 +1831,37 @@ impl DdPackage {
         if p <= TOLERANCE {
             return (VEdge::ZERO, 0.0);
         }
+        (self.project(v, qubit, outcome, renormalize.then_some(p)), p)
+    }
+
+    /// Projects `qubit` onto `outcome` without computing its probability.
+    ///
+    /// With `renormalize_by = Some(p)`, `p` must be the outcome probability
+    /// (as returned by [`probabilities`](Self::probabilities)) and the
+    /// result is scaled by `1/√p`; an outcome with `p` at or below the
+    /// numerical tolerance projects to the zero edge. With `None` the
+    /// projection is returned unscaled.
+    pub fn project(
+        &mut self,
+        v: VEdge,
+        qubit: usize,
+        outcome: bool,
+        renormalize_by: Option<f64>,
+    ) -> VEdge {
+        assert!(qubit < self.n_qubits, "qubit {qubit} out of range");
+        if renormalize_by.is_some_and(|p| p <= TOLERANCE) {
+            return VEdge::ZERO;
+        }
         let mut cache: FxHashMap<NodeId, VEdge> = FxHashMap::default();
         let projected = self.project_rec(v, qubit, outcome, &mut cache);
-        let result = if renormalize {
-            let scale = self.intern(Complex::real(1.0 / p.sqrt()));
-            let w = self.cmul(projected.weight, scale);
-            VEdge::new(projected.node, w)
-        } else {
-            projected
-        };
-        (result, p)
+        match renormalize_by {
+            Some(p) => {
+                let scale = self.intern(Complex::real(1.0 / p.sqrt()));
+                let w = self.cmul(projected.weight, scale);
+                VEdge::new(projected.node, w)
+            }
+            None => projected,
+        }
     }
 
     fn project_rec(
@@ -2100,6 +2125,25 @@ mod tests {
         let amps = p.amplitudes(collapsed);
         assert!(amps[0b11].is_one());
         assert!(amps[0b00].is_zero());
+    }
+
+    #[test]
+    fn project_with_known_probability_matches_collapse() {
+        let mut p = DdPackage::new(2);
+        let mut state = p.zero_state();
+        state = p.apply_gate(state, &gates::ry(1.1), 0, &[]);
+        state = p.apply_gate(state, &gates::x(), 1, &[Control::pos(0)]);
+        let (p0, p1) = p.probabilities(state, 1);
+        for (outcome, prob) in [(false, p0), (true, p1)] {
+            let (collapsed, reported) = p.collapse(state, 1, outcome, true);
+            assert_eq!(reported, prob);
+            let projected = p.project(state, 1, outcome, Some(prob));
+            assert_eq!(projected, collapsed);
+        }
+        // Unscaled projections keep the outcome probability as their norm.
+        let unscaled = p.project(state, 1, true, None);
+        assert!((p.norm_sqr(unscaled) - p1).abs() < 1e-12);
+        assert!(p.project(state, 1, true, Some(0.0)).is_zero());
     }
 
     #[test]

@@ -115,6 +115,10 @@ catalog! {
     CHAIN_REQUESTS = ("chain.requests", Unit::Count, "a chain that refutes at step 1 and one that verifies 5 steps both count once; see chain.steps for work done");
     /// Adjacent-pair verifications executed inside chains.
     CHAIN_STEPS = ("chain.steps", Unit::Count, "steps verified, not steps requested: a refuted or errored chain stops early and its remaining steps never count");
+    /// State projections the distribution extraction branched on (one per measurement or reset outcome explored).
+    SIM_EXTRACT_COLLAPSES = ("sim.extract.collapses", Unit::Count, "counts branches, not their cost: one collapse of a wide entangled state can outweigh thousands of cheap ones; trailing measurements never collapse");
+    /// Outcomes the distribution extraction read off a state diagram for its trailing measurements.
+    SIM_EXTRACT_OUTCOMES_READ = ("sim.extract.outcomes_read", Unit::Count, "outcomes recorded, not diagram nodes visited; pruned and merged paths do not count, and reads by StateVectorSimulator are not included");
 }
 
 macro_rules! hist_catalog {

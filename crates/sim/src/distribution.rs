@@ -1,5 +1,6 @@
 //! Measurement-outcome distributions and their comparison metrics.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -112,17 +113,7 @@ impl OutcomeDistribution {
     ///
     /// Panics if the bit counts differ.
     pub fn total_variation_distance(&self, other: &OutcomeDistribution) -> f64 {
-        assert_eq!(self.n_bits, other.n_bits, "bit count mismatch");
-        let mut distance = 0.0;
-        for (outcome, p) in &self.probabilities {
-            distance += (p - other.probability(outcome)).abs();
-        }
-        for (outcome, q) in &other.probabilities {
-            if !self.probabilities.contains_key(outcome) {
-                distance += q;
-            }
-        }
-        distance / 2.0
+        self.aligned(other).map(|(p, q)| (p - q).abs()).sum::<f64>() / 2.0
     }
 
     /// Classical (Bhattacharyya) fidelity `(Σ √(p(x) q(x)))²` to another
@@ -132,12 +123,30 @@ impl OutcomeDistribution {
     ///
     /// Panics if the bit counts differ.
     pub fn fidelity(&self, other: &OutcomeDistribution) -> f64 {
-        assert_eq!(self.n_bits, other.n_bits, "bit count mismatch");
-        let mut sum = 0.0;
-        for (outcome, p) in &self.probabilities {
-            sum += (p * other.probability(outcome)).sqrt();
-        }
+        let sum: f64 = self.aligned(other).map(|(p, q)| (p * q).sqrt()).sum();
         sum * sum
+    }
+
+    /// The probabilities `(p(x), q(x))` of every outcome recorded in either
+    /// distribution (0 where absent), from one merge walk over the two
+    /// sorted maps.
+    fn aligned<'a>(
+        &'a self,
+        other: &'a OutcomeDistribution,
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        assert_eq!(self.n_bits, other.n_bits, "bit count mismatch");
+        let mut left = self.probabilities.iter().peekable();
+        let mut right = other.probabilities.iter().peekable();
+        std::iter::from_fn(move || match (left.peek(), right.peek()) {
+            (Some((a, _)), Some((b, _))) => Some(match a.cmp(b) {
+                Ordering::Less => (*left.next()?.1, 0.0),
+                Ordering::Greater => (0.0, *right.next()?.1),
+                Ordering::Equal => (*left.next()?.1, *right.next()?.1),
+            }),
+            (Some(_), None) => Some((*left.next()?.1, 0.0)),
+            (None, Some(_)) => Some((0.0, *right.next()?.1)),
+            (None, None) => None,
+        })
     }
 
     /// Returns `true` when the distributions agree within `tolerance` in
@@ -229,6 +238,25 @@ mod tests {
         assert!((a.total_variation_distance(&b) - 1.0).abs() < 1e-12);
         assert!(a.fidelity(&b) < 1e-12);
         assert!(!a.approx_eq(&b, 0.5));
+    }
+
+    #[test]
+    fn metrics_on_partially_overlapping_distributions() {
+        // Outcomes only in `a`, only in `b` and in both, interleaved in key
+        // order so the merge walk takes every branch.
+        let mut a = OutcomeDistribution::new(2);
+        a.add(bits("00"), 0.5);
+        a.add(bits("10"), 0.25);
+        a.add(bits("11"), 0.25);
+        let mut b = OutcomeDistribution::new(2);
+        b.add(bits("01"), 0.5);
+        b.add(bits("10"), 0.5);
+        // ½ (0.5 + 0.5 + 0.25 + 0.25)
+        assert!((a.total_variation_distance(&b) - 0.75).abs() < 1e-12);
+        assert!((b.total_variation_distance(&a) - 0.75).abs() < 1e-12);
+        // (√(0.25 · 0.5))²
+        assert!((a.fidelity(&b) - 0.125).abs() < 1e-12);
+        assert!((b.fidelity(&a) - 0.125).abs() < 1e-12);
     }
 
     #[test]

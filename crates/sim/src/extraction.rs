@@ -1,7 +1,7 @@
 //! Extraction of the complete measurement-outcome distribution of a dynamic
 //! circuit by branching classical simulation (Section 5 of the paper).
 //!
-//! Every measurement encountered during the simulation is a *branching
+//! Every measurement that is followed by a gate or a reset is a *branching
 //! point*: the probabilities of the measured qubit are check-pointed and the
 //! simulation forks into the |0⟩- and |1⟩-successor. Resets likewise branch
 //! (the two outcomes are merged again, since a reset discards its outcome)
@@ -11,13 +11,29 @@
 //! probability falls below a configurable threshold are pruned, so sparse
 //! output distributions require far fewer than the worst-case `2^m` leaf
 //! simulations.
+//!
+//! Once only measurements and barriers remain, the walk stops branching: it
+//! reads every outcome of the remaining measured bits off the current state
+//! diagram in one pass (the routine [`crate::StateVectorSimulator`] uses for
+//! its trailing measurements) and scales it by the branch probability. The
+//! last writer of a bit wins, and bits the trailing measurements do not
+//! write keep the value the branch gave them. A static circuit with trailing
+//! measurements therefore never branches at all, and a dynamic circuit whose
+//! last operation is a measurement reads its final level instead of
+//! collapsing it. Every recorded outcome counts as one leaf.
 
 use crate::distribution::OutcomeDistribution;
 use crate::error::SimError;
 use crate::gate_map;
-use circuit::{OpKind, QuantumCircuit};
-use dd::{gates, Budget, DdPackage, VEdge};
+use crate::outcomes::{read_outcomes, ReadPlan};
+use circuit::{OpKind, Operation, QuantumCircuit};
+use dd::{gates, Budget, Control, DdPackage, GateMatrix, LimitExceeded, VEdge};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+/// Outcomes read off a diagram between two budget polls.
+const POLL_EVERY: usize = 4096;
 
 /// Configuration of the extraction scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,9 +42,9 @@ pub struct ExtractionConfig {
     /// pruned. The paper prunes exactly-zero branches; the small non-zero
     /// default additionally guards against floating-point dust.
     pub prune_threshold: f64,
-    /// Optional hard limit on the number of leaf simulations, as a safeguard
-    /// against accidentally extracting a dense distribution over very many
-    /// measurements.
+    /// Optional hard limit on the number of leaves (recorded outcomes), as a
+    /// safeguard against accidentally extracting a dense distribution over
+    /// very many measurements.
     pub max_leaves: Option<usize>,
     /// Decision-diagram memory sizing for the extraction walker's package
     /// (compute-table bounds and the automatic garbage-collection
@@ -52,9 +68,13 @@ impl Default for ExtractionConfig {
 pub struct ExtractionResult {
     /// The complete distribution over the circuit's classical bits.
     pub distribution: OutcomeDistribution,
-    /// Number of leaf simulations that were actually carried out.
+    /// Number of leaves: one per outcome recorded at the end of a branch.
+    /// A branch whose trailing measurements are read off the state diagram
+    /// records one leaf per outcome of those measurements, so a measured
+    /// QFT-n reports `2^n` leaves whether it branches or not.
     pub leaves: usize,
-    /// Number of branching points (measurements and resets) in the circuit.
+    /// Number of measurements and resets in the circuit, whether the walk
+    /// branched on them or read them off the state diagram.
     pub branch_points: usize,
     /// Wall-clock time of the extraction (the paper's `t_extract`).
     pub duration: Duration,
@@ -63,15 +83,139 @@ pub struct ExtractionResult {
     pub memory: dd::MemoryStats,
 }
 
-struct Extractor<'a> {
-    package: DdPackage,
-    ops: &'a [circuit::Operation],
-    config: ExtractionConfig,
-    distribution: OutcomeDistribution,
-    leaves: usize,
+/// What an extraction derives from the circuit once, before any walk.
+struct Plan {
+    /// The gate matrix and decision-diagram controls of every unitary
+    /// operation (`None` for the other kinds), indexed like the operations.
+    gates: Vec<Option<(GateMatrix, Vec<Control>)>>,
+    /// Operation index from which the walk reads outcomes off the state
+    /// instead of branching: after it come only measurements and barriers,
+    /// and no forced branching point.
+    read_from: usize,
+    /// The measurements from `read_from` on.
+    trailing: ReadPlan,
 }
 
-impl<'a> Extractor<'a> {
+impl Plan {
+    /// Plans an extraction whose first `forced` branching points are
+    /// forced (and therefore branched on, never read).
+    fn new(circuit: &QuantumCircuit, forced: usize) -> Self {
+        let ops = circuit.ops();
+        let gates = ops
+            .iter()
+            .map(|op| match &op.kind {
+                OpKind::Unitary { gate, controls, .. } => {
+                    Some((gate_map::gate_matrix(*gate), gate_map::controls(controls)))
+                }
+                _ => None,
+            })
+            .collect();
+        let tail_start = ops
+            .iter()
+            .rposition(|op| !matches!(op.kind, OpKind::Measure { .. } | OpKind::Barrier))
+            .map_or(0, |idx| idx + 1);
+        let forced_end = forced
+            .checked_sub(1)
+            .and_then(|last| branch_indices(ops).nth(last))
+            .map_or(0, |idx| idx + 1);
+        let read_from = tail_start.max(forced_end);
+        let trailing = ReadPlan::new(
+            circuit.num_qubits(),
+            circuit.num_bits(),
+            ops[read_from..].iter().filter_map(|op| match op.kind {
+                OpKind::Measure { qubit, bit } => Some((qubit, bit)),
+                _ => None,
+            }),
+        );
+        Plan {
+            gates,
+            read_from,
+            trailing,
+        }
+    }
+}
+
+/// Indices of the measurements and resets among `ops`.
+fn branch_indices(ops: &[Operation]) -> impl Iterator<Item = usize> + '_ {
+    ops.iter()
+        .enumerate()
+        .filter(|(_, op)| matches!(op.kind, OpKind::Measure { .. } | OpKind::Reset { .. }))
+        .map(|(idx, _)| idx)
+}
+
+/// State shared by the workers of one extraction.
+#[derive(Default)]
+struct Progress {
+    /// Leaves recorded so far, over every worker.
+    leaves: AtomicUsize,
+    /// Set when a worker failed: the others stop at their next poll.
+    stop: AtomicBool,
+}
+
+/// What every walk of one extraction observes besides its package: the
+/// budget (polled while reading outcomes, which allocates no nodes), the
+/// leaf limit and the other workers.
+struct Guard<'a> {
+    budget: Budget,
+    max_leaves: Option<usize>,
+    progress: &'a Progress,
+}
+
+impl Guard<'_> {
+    /// Fails when the budget was cancelled or its deadline passed, or
+    /// another worker failed.
+    fn poll(&self) -> Result<(), SimError> {
+        if self.budget.is_cancelled() || self.progress.stop.load(Ordering::Acquire) {
+            Err(SimError::Interrupted(LimitExceeded::Cancelled))
+        } else if self.budget.deadline_exceeded() {
+            Err(SimError::Interrupted(LimitExceeded::Deadline))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Fails when `pending` more leaves would exceed the leaf limit.
+    fn check_leaves(&self, pending: usize) -> Result<(), SimError> {
+        match self.max_leaves {
+            Some(limit) if self.progress.leaves.load(Ordering::Relaxed) + pending > limit => {
+                Err(SimError::BranchLimitExceeded { limit })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Counts `recorded` leaves, failing when the total over every worker
+    /// exceeds the leaf limit.
+    fn record_leaves(&self, recorded: usize) -> Result<(), SimError> {
+        let total = self.progress.leaves.fetch_add(recorded, Ordering::Relaxed) + recorded;
+        match self.max_leaves {
+            Some(limit) if total > limit => Err(SimError::BranchLimitExceeded { limit }),
+            _ => Ok(()),
+        }
+    }
+}
+
+struct Extractor<'a> {
+    package: DdPackage,
+    ops: &'a [Operation],
+    plan: &'a Plan,
+    /// Outcomes forced at the first `forced.len()` branching points (the
+    /// parallel variant's sub-tree of this worker; empty otherwise).
+    forced: &'a [bool],
+    prune: f64,
+    guard: Guard<'a>,
+    distribution: OutcomeDistribution,
+}
+
+impl Extractor<'_> {
+    /// Fails when the package hit a limit or the guard's poll fails.
+    fn check(&self) -> Result<(), SimError> {
+        match self.package.limit_exceeded() {
+            Some(reason) => Err(SimError::Interrupted(reason)),
+            None => self.guard.poll(),
+        }
+    }
+
     // Every frame of the branch walk protects the state it holds, so the
     // package's automatic garbage collection (triggered inside gate
     // applications deeper in the recursion) never reclaims a sibling
@@ -84,91 +228,168 @@ impl<'a> Extractor<'a> {
         state: VEdge,
         bits: &mut Vec<bool>,
         probability: f64,
+        branch: usize,
     ) -> Result<(), SimError> {
         let mut state = state;
         self.package.protect_vector(state);
-        let mut idx = start;
-        while idx < self.ops.len() {
-            if let Some(reason) = self.package.limit_exceeded() {
-                return Err(SimError::Interrupted(reason));
-            }
+        for idx in start..self.plan.read_from {
+            self.check()?;
             let op = &self.ops[idx];
-            match &op.kind {
-                OpKind::Barrier => {}
-                OpKind::Unitary {
-                    gate,
-                    target,
-                    controls,
-                } => {
-                    let apply = match op.condition {
-                        None => true,
-                        Some(cond) => bits[cond.bit] == cond.value,
-                    };
+            let (qubit, record) = match op.kind {
+                OpKind::Barrier => continue,
+                OpKind::Unitary { target, .. } => {
+                    let apply = op.condition.is_none_or(|cond| bits[cond.bit] == cond.value);
                     if apply {
-                        let matrix = gate_map::gate_matrix(*gate);
-                        let dd_controls = gate_map::controls(controls);
-                        let next = self
-                            .package
-                            .apply_gate(state, &matrix, *target, &dd_controls);
+                        let (matrix, controls) =
+                            self.plan.gates[idx].as_ref().expect("resolved unitary");
+                        let next = self.package.apply_gate(state, matrix, target, controls);
                         self.package.unprotect_vector(state);
                         self.package.protect_vector(next);
                         state = next;
                     }
+                    continue;
                 }
-                OpKind::Measure { qubit, bit } => {
-                    let (p0, p1) = self.package.probabilities(state, *qubit);
-                    // The classical bit may have been written before (a later
-                    // measurement overwriting an earlier one); restore the
-                    // previous value after exploring both branches so sibling
-                    // branches of *outer* branching points see it unchanged.
-                    let previous = bits[*bit];
-                    for (value, p) in [(false, p0), (true, p1)] {
-                        let branch_probability = probability * p;
-                        if branch_probability < self.config.prune_threshold {
-                            continue;
-                        }
-                        let (collapsed, _) = self.package.collapse(state, *qubit, value, true);
-                        bits[*bit] = value;
-                        self.explore(idx + 1, collapsed, bits, branch_probability)?;
+                OpKind::Measure { qubit, bit } => (qubit, Some(bit)),
+                OpKind::Reset { qubit } => (qubit, None),
+            };
+            let (p0, p1) = self.package.probabilities(state, qubit);
+            let forced = self.forced.get(branch).copied();
+            // The classical bit may have been written before (a later
+            // measurement overwriting an earlier one); restore the previous
+            // value after exploring both branches so sibling branches of
+            // *outer* branching points see it unchanged.
+            let previous = record.map(|bit| bits[bit]);
+            for (value, p) in [(false, p0), (true, p1)] {
+                let branch_probability = probability * p;
+                if forced.is_some_and(|f| f != value) || branch_probability < self.prune {
+                    continue;
+                }
+                let collapsed = self.package.project(state, qubit, value, Some(p));
+                obs::metrics::incr(obs::metrics::SIM_EXTRACT_COLLAPSES);
+                let next = match record {
+                    Some(bit) => {
+                        bits[bit] = value;
+                        collapsed
                     }
-                    bits[*bit] = previous;
-                    self.package.unprotect_vector(state);
-                    return Ok(());
-                }
-                OpKind::Reset { qubit } => {
-                    let (p0, p1) = self.package.probabilities(state, *qubit);
-                    for (value, p) in [(false, p0), (true, p1)] {
-                        let branch_probability = probability * p;
-                        if branch_probability < self.config.prune_threshold {
-                            continue;
-                        }
-                        let (collapsed, _) = self.package.collapse(state, *qubit, value, true);
-                        // A reset discards the outcome and re-initialises the
-                        // qubit to |0⟩: flip it back when the outcome was |1⟩.
-                        let reinitialised = if value {
-                            self.package.apply_gate(collapsed, &gates::x(), *qubit, &[])
-                        } else {
-                            collapsed
-                        };
-                        self.explore(idx + 1, reinitialised, bits, branch_probability)?;
-                    }
-                    self.package.unprotect_vector(state);
-                    return Ok(());
-                }
+                    // A reset discards the outcome and re-initialises the
+                    // qubit to |0⟩: flip it back when the outcome was |1⟩.
+                    None if value => self.package.apply_gate(collapsed, &gates::x(), qubit, &[]),
+                    None => collapsed,
+                };
+                self.explore(idx + 1, next, bits, branch_probability, branch + 1)?;
             }
-            idx += 1;
+            if let (Some(bit), Some(previous)) = (record, previous) {
+                bits[bit] = previous;
+            }
+            self.package.unprotect_vector(state);
+            return Ok(());
         }
-        // Leaf: record the probability of this classical-bit assignment.
         self.package.unprotect_vector(state);
-        self.leaves += 1;
-        if let Some(limit) = self.config.max_leaves {
-            if self.leaves > limit {
-                return Err(SimError::BranchLimitExceeded { limit });
-            }
+        self.read(state, bits, probability)
+    }
+
+    /// Records every outcome of the trailing measurements, read off `state`
+    /// and scaled by the branch `probability`, one leaf each.
+    fn read(&mut self, state: VEdge, bits: &[bool], probability: f64) -> Result<(), SimError> {
+        self.check()?;
+        let guard = &self.guard;
+        let mut outcome = bits.to_vec();
+        let mut pending: Vec<(Vec<bool>, f64)> = Vec::new();
+        let mut next_merge = POLL_EVERY;
+        let mut emitted = 0usize;
+        let forked = read_outcomes(
+            &mut self.package,
+            state,
+            &self.plan.trailing,
+            probability,
+            self.prune,
+            &mut outcome,
+            &mut |outcome, p, forked| {
+                pending.push((outcome.to_vec(), p));
+                emitted += 1;
+                if emitted.is_multiple_of(POLL_EVERY) {
+                    guard.poll()?;
+                }
+                if !forked {
+                    return guard.check_leaves(pending.len());
+                }
+                // A repeated outcome is one leaf: merge repeats before the
+                // limit is judged, and often enough to bound the buffer.
+                if pending.len() >= next_merge {
+                    merge_repeats(&mut pending);
+                    next_merge = (2 * pending.len()).max(POLL_EVERY);
+                    return guard.check_leaves(pending.len());
+                }
+                Ok(())
+            },
+        )?;
+        if forked {
+            merge_repeats(&mut pending);
         }
-        self.distribution.add(bits.clone(), probability);
+        guard.record_leaves(pending.len())?;
+        obs::metrics::add(
+            obs::metrics::SIM_EXTRACT_OUTCOMES_READ,
+            pending.len() as u64,
+        );
+        for (outcome, p) in pending {
+            self.distribution.add(outcome, p);
+        }
         Ok(())
     }
+}
+
+/// Sorts `pending` by outcome and sums the probabilities of repeats.
+fn merge_repeats(pending: &mut Vec<(Vec<bool>, f64)>) {
+    pending.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    pending.dedup_by(|later, earlier| {
+        let repeat = later.0 == earlier.0;
+        if repeat {
+            earlier.1 += later.1;
+        }
+        repeat
+    });
+}
+
+/// The smaller of the configured and the budget's leaf limits.
+fn leaf_limit(config: &ExtractionConfig, budget: &Budget) -> Option<usize> {
+    match (config.max_leaves, budget.max_leaves()) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Runs one extraction walk: the whole branch tree, or with `forced`
+/// outcomes the sub-tree below them.
+fn run_walk(
+    circuit: &QuantumCircuit,
+    plan: &Plan,
+    initial: Option<&[bool]>,
+    forced: &[bool],
+    config: &ExtractionConfig,
+    budget: &Budget,
+    progress: &Progress,
+) -> Result<(OutcomeDistribution, dd::MemoryStats), SimError> {
+    let mut package = DdPackage::with_config(circuit.num_qubits(), budget.clone(), config.memory);
+    let state = match initial {
+        None => package.zero_state(),
+        Some(bits) => package.basis_state(bits),
+    };
+    let mut extractor = Extractor {
+        package,
+        ops: circuit.ops(),
+        plan,
+        forced,
+        prune: config.prune_threshold,
+        guard: Guard {
+            budget: budget.clone(),
+            max_leaves: leaf_limit(config, budget),
+            progress,
+        },
+        distribution: OutcomeDistribution::new(circuit.num_bits()),
+    };
+    let mut bits = vec![false; circuit.num_bits()];
+    extractor.explore(0, state, &mut bits, 1.0, 0)?;
+    Ok((extractor.distribution, extractor.package.memory_stats()))
 }
 
 /// Extracts the complete measurement-outcome distribution of `circuit` for
@@ -220,8 +441,8 @@ pub fn extract_distribution_from(
 
 /// Budget-aware variant of [`extract_distribution_from`].
 ///
-/// The extraction observes `budget` cooperatively: its decision-diagram
-/// package stops on cancellation or when the node limit trips (reported as
+/// The extraction observes `budget` cooperatively: it stops on
+/// cancellation, at the deadline or when the node limit trips (reported as
 /// [`SimError::Interrupted`]), and the budget's leaf limit is merged with
 /// [`ExtractionConfig::max_leaves`] (the smaller of the two applies,
 /// reported as [`SimError::BranchLimitExceeded`]).
@@ -229,7 +450,8 @@ pub fn extract_distribution_from(
 /// This is the entry point the portfolio engine uses to race the Section 5
 /// scheme against functional verification: when another scheme wins, the
 /// shared cancel token makes this extraction return within a few hundred
-/// node allocations instead of finishing a hopeless branch walk.
+/// node allocations (or a few thousand outcomes read) instead of finishing
+/// a hopeless branch walk.
 ///
 /// # Errors
 ///
@@ -241,47 +463,23 @@ pub fn extract_distribution_budgeted(
     budget: &Budget,
 ) -> Result<ExtractionResult, SimError> {
     let start = Instant::now();
-    let n = circuit.num_qubits();
-    let mut package = DdPackage::with_config(n, budget.clone(), config.memory);
-    let config = &ExtractionConfig {
-        max_leaves: match (config.max_leaves, budget.max_leaves()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        },
-        ..*config
-    };
-    let state = match initial {
-        None => package.zero_state(),
-        Some(bits) => {
-            if bits.len() != n {
-                return Err(SimError::InitialStateMismatch {
-                    expected: n,
-                    provided: bits.len(),
-                });
-            }
-            package.basis_state(bits)
+    if let Some(bits) = initial {
+        if bits.len() != circuit.num_qubits() {
+            return Err(SimError::InitialStateMismatch {
+                expected: circuit.num_qubits(),
+                provided: bits.len(),
+            });
         }
-    };
-    let branch_points = circuit
-        .ops()
-        .iter()
-        .filter(|op| matches!(op.kind, OpKind::Measure { .. } | OpKind::Reset { .. }))
-        .count();
-    let mut extractor = Extractor {
-        package,
-        ops: circuit.ops(),
-        config: *config,
-        distribution: OutcomeDistribution::new(circuit.num_bits()),
-        leaves: 0,
-    };
-    let mut bits = vec![false; circuit.num_bits()];
-    extractor.explore(0, state, &mut bits, 1.0)?;
+    }
+    let plan = Plan::new(circuit, 0);
+    let progress = Progress::default();
+    let (distribution, memory) = run_walk(circuit, &plan, initial, &[], config, budget, &progress)?;
     Ok(ExtractionResult {
-        distribution: extractor.distribution,
-        leaves: extractor.leaves,
-        branch_points,
+        distribution,
+        leaves: progress.leaves.into_inner(),
+        branch_points: branch_indices(circuit.ops()).count(),
         duration: start.elapsed(),
-        memory: extractor.package.memory_stats(),
+        memory,
     })
 }
 
@@ -300,44 +498,69 @@ pub fn extract_distribution_parallel(
     config: &ExtractionConfig,
     threads: usize,
 ) -> Result<ExtractionResult, SimError> {
-    let threads = threads.max(1);
+    extract_distribution_parallel_budgeted(circuit, config, threads, &Budget::unlimited())
+}
+
+/// Budget-aware variant of [`extract_distribution_parallel`].
+///
+/// Every worker's package observes `budget` and is sized by
+/// [`ExtractionConfig::memory`], as in [`extract_distribution_budgeted`].
+/// The leaf limit counts the leaves of all workers together, and the first
+/// worker to fail stops the others.
+///
+/// # Errors
+///
+/// Same as [`extract_distribution_budgeted`].
+pub fn extract_distribution_parallel_budgeted(
+    circuit: &QuantumCircuit,
+    config: &ExtractionConfig,
+    threads: usize,
+    budget: &Budget,
+) -> Result<ExtractionResult, SimError> {
+    let branch_points = branch_indices(circuit.ops()).count();
     // Depth of the forced prefix: 2^depth sub-trees.
-    let branch_ops: Vec<usize> = circuit
-        .ops()
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| matches!(op.kind, OpKind::Measure { .. } | OpKind::Reset { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let depth = (threads as f64).log2().ceil() as usize;
-    let depth = depth.min(branch_ops.len()).min(8);
+    let depth = (threads.max(1) as f64).log2().ceil() as usize;
+    let depth = depth.min(branch_points).min(8);
     if depth == 0 {
-        return extract_distribution(circuit, config);
+        return extract_distribution_budgeted(circuit, None, config, budget);
     }
 
     let start = Instant::now();
+    let plan = Plan::new(circuit, depth);
+    let progress = Progress::default();
+    let failure = OnceLock::new();
     let prefixes: Vec<Vec<bool>> = (0..(1usize << depth))
         .map(|mask| (0..depth).map(|i| (mask >> i) & 1 == 1).collect())
         .collect();
-
-    let results: Vec<Result<(OutcomeDistribution, usize, dd::MemoryStats), SimError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = prefixes
-                .iter()
-                .map(|prefix| scope.spawn(move || run_with_forced_prefix(circuit, prefix, config)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+    let partials: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = prefixes
+            .iter()
+            .map(|prefix| {
+                let (plan, progress, failure) = (&plan, &progress, &failure);
+                scope.spawn(move || {
+                    run_walk(circuit, plan, None, prefix, config, budget, progress)
+                        .map_err(|error| {
+                            // Record the first failure before stopping the
+                            // others, so their interruptions never mask it.
+                            let _ = failure.set(error);
+                            progress.stop.store(true, Ordering::Release);
+                        })
+                        .ok()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    if let Some(error) = failure.into_inner() {
+        return Err(error);
+    }
 
     let mut distribution = OutcomeDistribution::new(circuit.num_bits());
-    let mut leaves = 0;
     let mut memory = dd::MemoryStats::default();
-    for result in results {
-        let (partial, partial_leaves, partial_memory) = result?;
-        leaves += partial_leaves;
+    for (partial, partial_memory) in partials.into_iter().flatten() {
         memory = memory.merged_with(&partial_memory);
         for (outcome, p) in partial.iter() {
             distribution.add(outcome.clone(), p);
@@ -345,144 +568,11 @@ pub fn extract_distribution_parallel(
     }
     Ok(ExtractionResult {
         distribution,
-        leaves,
-        branch_points: branch_ops.len(),
+        leaves: progress.leaves.into_inner(),
+        branch_points,
         duration: start.elapsed(),
         memory,
     })
-}
-
-/// Runs a full extraction in which the first `forced.len()` branching points
-/// are forced to the given outcomes (the branch probability is still
-/// accounted for), returning the partial distribution and leaf count.
-fn run_with_forced_prefix(
-    circuit: &QuantumCircuit,
-    forced: &[bool],
-    config: &ExtractionConfig,
-) -> Result<(OutcomeDistribution, usize, dd::MemoryStats), SimError> {
-    struct ForcedExtractor<'a> {
-        package: DdPackage,
-        ops: &'a [circuit::Operation],
-        config: ExtractionConfig,
-        distribution: OutcomeDistribution,
-        leaves: usize,
-        forced: &'a [bool],
-    }
-
-    impl<'a> ForcedExtractor<'a> {
-        #[allow(clippy::too_many_arguments)]
-        fn explore(
-            &mut self,
-            start: usize,
-            state: VEdge,
-            bits: &mut Vec<bool>,
-            probability: f64,
-            branch_index: usize,
-        ) -> Result<(), SimError> {
-            let mut state = state;
-            self.package.protect_vector(state);
-            let mut idx = start;
-            while idx < self.ops.len() {
-                let op = &self.ops[idx];
-                match &op.kind {
-                    OpKind::Barrier => {}
-                    OpKind::Unitary {
-                        gate,
-                        target,
-                        controls,
-                    } => {
-                        let apply = match op.condition {
-                            None => true,
-                            Some(cond) => bits[cond.bit] == cond.value,
-                        };
-                        if apply {
-                            let matrix = gate_map::gate_matrix(*gate);
-                            let dd_controls = gate_map::controls(controls);
-                            let next =
-                                self.package
-                                    .apply_gate(state, &matrix, *target, &dd_controls);
-                            self.package.unprotect_vector(state);
-                            self.package.protect_vector(next);
-                            state = next;
-                        }
-                    }
-                    OpKind::Measure { .. } | OpKind::Reset { .. } => {
-                        let (qubit, record_bit) = match op.kind {
-                            OpKind::Measure { qubit, bit } => (qubit, Some(bit)),
-                            OpKind::Reset { qubit } => (qubit, None),
-                            _ => unreachable!(),
-                        };
-                        let (p0, p1) = self.package.probabilities(state, qubit);
-                        let outcomes: Vec<(bool, f64)> =
-                            if let Some(&forced_value) = self.forced.get(branch_index) {
-                                vec![(forced_value, if forced_value { p1 } else { p0 })]
-                            } else {
-                                vec![(false, p0), (true, p1)]
-                            };
-                        let previous = record_bit.map(|bit| bits[bit]);
-                        for (value, p) in outcomes {
-                            let branch_probability = probability * p;
-                            if branch_probability < self.config.prune_threshold {
-                                continue;
-                            }
-                            let (collapsed, _) = self.package.collapse(state, qubit, value, true);
-                            let next_state = match record_bit {
-                                Some(bit) => {
-                                    bits[bit] = value;
-                                    collapsed
-                                }
-                                None => {
-                                    if value {
-                                        self.package.apply_gate(collapsed, &gates::x(), qubit, &[])
-                                    } else {
-                                        collapsed
-                                    }
-                                }
-                            };
-                            self.explore(
-                                idx + 1,
-                                next_state,
-                                bits,
-                                branch_probability,
-                                branch_index + 1,
-                            )?;
-                        }
-                        if let (Some(bit), Some(previous)) = (record_bit, previous) {
-                            bits[bit] = previous;
-                        }
-                        self.package.unprotect_vector(state);
-                        return Ok(());
-                    }
-                }
-                idx += 1;
-            }
-            self.package.unprotect_vector(state);
-            self.leaves += 1;
-            if let Some(limit) = self.config.max_leaves {
-                if self.leaves > limit {
-                    return Err(SimError::BranchLimitExceeded { limit });
-                }
-            }
-            self.distribution.add(bits.clone(), probability);
-            Ok(())
-        }
-    }
-
-    let n = circuit.num_qubits();
-    let mut package = DdPackage::new(n);
-    let state = package.zero_state();
-    let mut extractor = ForcedExtractor {
-        package,
-        ops: circuit.ops(),
-        config: *config,
-        distribution: OutcomeDistribution::new(circuit.num_bits()),
-        leaves: 0,
-        forced,
-    };
-    let mut bits = vec![false; circuit.num_bits()];
-    extractor.explore(0, state, &mut bits, 1.0, 0)?;
-    let memory = extractor.package.memory_stats();
-    Ok((extractor.distribution, extractor.leaves, memory))
 }
 
 #[cfg(test)]
@@ -635,6 +725,111 @@ mod tests {
             .distribution
             .approx_eq(&parallel.distribution, 1e-9));
         assert_eq!(sequential.branch_points, parallel.branch_points);
+    }
+
+    #[test]
+    fn static_measured_circuit_is_read_without_branching() {
+        // Every measurement of the static QFT is trailing: one read of the
+        // final state records all 2^n outcomes, one leaf each.
+        let n = 6;
+        let circuit = qft::qft_static(n, None, true);
+        let result = extract_distribution(&circuit, &ExtractionConfig::default()).unwrap();
+        assert_eq!(result.leaves, 1 << n);
+        assert_eq!(result.branch_points, n);
+        let mut simulator = crate::StateVectorSimulator::new(n);
+        simulator.run(&circuit).unwrap();
+        assert!(result
+            .distribution
+            .approx_eq(&simulator.outcome_distribution(), 1e-12));
+    }
+
+    #[test]
+    fn repeated_outcomes_of_a_traced_out_qubit_are_one_leaf() {
+        // Qubit 2 (top) is entangled with qubit 1 and never measured, so
+        // the read descends both of its branches and reaches each outcome
+        // of qubit 0 twice. Each recorded outcome is still one leaf.
+        let mut qc = circuit::QuantumCircuit::new(3, 1);
+        qc.h(2).cx(2, 1).h(0).measure(0, 0);
+        let result = extract_distribution(&qc, &ExtractionConfig::default()).unwrap();
+        assert_eq!(result.leaves, 2);
+        assert!((result.distribution.probability(&[false]) - 0.5).abs() < 1e-12);
+        assert!((result.distribution.probability(&[true]) - 0.5).abs() < 1e-12);
+        let limited = ExtractionConfig {
+            max_leaves: Some(1),
+            ..Default::default()
+        };
+        assert!(matches!(
+            extract_distribution(&qc, &limited),
+            Err(SimError::BranchLimitExceeded { limit: 1 })
+        ));
+    }
+
+    #[test]
+    fn parallel_leaf_limit_counts_every_worker() {
+        // 64 leaves over 4 workers of 16: only a global count trips 40.
+        let circuit = qft::qft_dynamic(6);
+        let config = ExtractionConfig {
+            max_leaves: Some(40),
+            ..Default::default()
+        };
+        assert!(matches!(
+            extract_distribution_parallel(&circuit, &config, 4),
+            Err(SimError::BranchLimitExceeded { limit: 40 })
+        ));
+        let unlimited = extract_distribution_parallel(&circuit, &ExtractionConfig::default(), 4);
+        assert_eq!(unlimited.unwrap().leaves, 64);
+    }
+
+    #[test]
+    fn parallel_extraction_observes_the_budget() {
+        let circuit = qft::qft_dynamic(10);
+        let config = ExtractionConfig::default();
+        let token = dd::CancelToken::new();
+        token.cancel();
+        let cancelled = dd::Budget::unlimited().with_cancel_token(token);
+        assert!(matches!(
+            extract_distribution_parallel_budgeted(&circuit, &config, 4, &cancelled),
+            Err(SimError::Interrupted(dd::LimitExceeded::Cancelled))
+        ));
+        let tiny = dd::Budget::unlimited().with_node_limit(4);
+        assert!(matches!(
+            extract_distribution_parallel_budgeted(&circuit, &config, 4, &tiny),
+            Err(SimError::Interrupted(dd::LimitExceeded::NodeLimit))
+        ));
+    }
+
+    #[test]
+    fn parallel_extraction_sizes_packages_from_the_config() {
+        let phi = qpe::phase_from_bits(&[true, false, true]) + 0.1;
+        let iqpe = qpe::iqpe_dynamic(phi, 5);
+        let config = ExtractionConfig {
+            memory: dd::MemoryConfig {
+                gc_threshold: Some(16),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let parallel = extract_distribution_parallel(&iqpe, &config, 2).unwrap();
+        assert!(parallel.memory.gc_runs > 0, "the low GC threshold applies");
+        let sequential = extract_distribution(&iqpe, &ExtractionConfig::default()).unwrap();
+        assert!(sequential
+            .distribution
+            .approx_eq(&parallel.distribution, 1e-9));
+    }
+
+    #[test]
+    fn parallel_extraction_of_a_static_circuit_forces_trailing_measurements() {
+        // The forced prefix lies inside the trailing measurements: those are
+        // branched on, the rest are read.
+        let n = 5;
+        let circuit = qft::qft_static(n, None, true);
+        let sequential = extract_distribution(&circuit, &ExtractionConfig::default()).unwrap();
+        let parallel =
+            extract_distribution_parallel(&circuit, &ExtractionConfig::default(), 4).unwrap();
+        assert_eq!(parallel.leaves, 1 << n);
+        assert!(sequential
+            .distribution
+            .approx_eq(&parallel.distribution, 1e-12));
     }
 
     #[test]

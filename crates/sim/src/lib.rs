@@ -7,8 +7,18 @@
 //!   reference circuits and for simulative equivalence checking.
 //! * [`extract_distribution`] — the paper's Section 5 scheme: extracting the
 //!   complete measurement-outcome distribution of a *dynamic* circuit by
-//!   branching the simulation at every measurement and reset, check-pointing
-//!   the outcome probabilities and pruning zero-probability branches.
+//!   branching the simulation at every measurement and reset that is
+//!   followed by further operations, check-pointing the outcome
+//!   probabilities and pruning zero-probability branches.
+//!
+//! Both share one outcome walk for measurements with nothing after them:
+//! it reads the probability of every outcome off the state decision diagram
+//! in a single pass, stopping below the lowest measured qubit, instead of
+//! collapsing the state once per outcome. The simulator reads its recorded
+//! measurements that way; the extraction switches to it at the first
+//! operation after which only measurements and barriers remain. A static
+//! measured circuit is therefore never branched on, and a dynamic one only
+//! up to its last non-measurement operation.
 //!
 //! ```
 //! use algorithms::bv;
@@ -32,6 +42,7 @@ mod distribution;
 mod error;
 mod extraction;
 mod gate_map;
+mod outcomes;
 mod statevector;
 mod stochastic;
 
@@ -39,7 +50,8 @@ pub use distribution::OutcomeDistribution;
 pub use error::SimError;
 pub use extraction::{
     extract_distribution, extract_distribution_budgeted, extract_distribution_from,
-    extract_distribution_parallel, ExtractionConfig, ExtractionResult,
+    extract_distribution_parallel, extract_distribution_parallel_budgeted, ExtractionConfig,
+    ExtractionResult,
 };
 pub use gate_map::{controls as dd_controls, gate_matrix};
 pub use statevector::StateVectorSimulator;

@@ -3,6 +3,7 @@
 use crate::distribution::OutcomeDistribution;
 use crate::error::SimError;
 use crate::gate_map;
+use crate::outcomes::{read_outcomes, ReadPlan};
 use circuit::{OpKind, Operation, QuantumCircuit};
 use dd::{Complex, DdPackage, VEdge};
 use std::time::{Duration, Instant};
@@ -300,10 +301,14 @@ impl StateVectorSimulator {
     ///
     /// The distribution ranges over the classical bits of the circuits run so
     /// far (at least every bit written by a measurement). Classical bits that
-    /// are never measured read 0. Unmeasured qubits are traced out. Branches
-    /// whose probability mass is below `1e-12` are pruned, so sparse states
-    /// produce small distributions even on wide registers.
+    /// are never measured read 0; for a bit written more than once, the last
+    /// measurement wins. Unmeasured qubits are traced out. Outcomes whose
+    /// probability is below `1e-12` are pruned, so sparse states produce
+    /// small distributions even on wide registers. The outcomes are read off
+    /// the state diagram in one walk that stops below the lowest measured
+    /// qubit.
     pub fn outcome_distribution(&mut self) -> OutcomeDistribution {
+        const PRUNE: f64 = 1e-12;
         let n_bits = self
             .measurements
             .iter()
@@ -311,101 +316,23 @@ impl StateVectorSimulator {
             .max()
             .unwrap_or(0)
             .max(self.n_bits);
+        let plan = ReadPlan::new(self.n_qubits, n_bits, self.measurements.iter().copied());
         let mut dist = OutcomeDistribution::new(n_bits);
-        // For every classical bit, the *last* measurement writing it wins;
-        // earlier writers are traced out. A single qubit may determine
-        // several bits, so the map is qubit → bits.
-        let mut winner_of_bit: Vec<Option<usize>> = vec![None; n_bits];
-        for &(q, b) in &self.measurements {
-            winner_of_bit[b] = Some(q);
-        }
-        let mut bits_of_qubit: Vec<Vec<usize>> = vec![Vec::new(); self.n_qubits];
-        for (b, winner) in winner_of_bit.iter().enumerate() {
-            if let Some(q) = winner {
-                bits_of_qubit[*q].push(b);
-            }
-        }
         let mut outcome = vec![false; n_bits];
-        let state = self.state;
-        self.enumerate(
-            state,
-            self.n_qubits,
+        let read = read_outcomes(
+            &mut self.package,
+            self.state,
+            &plan,
             1.0,
-            &bits_of_qubit,
+            PRUNE,
             &mut outcome,
-            &mut dist,
+            &mut |outcome, p, _| {
+                dist.add(outcome.to_vec(), p);
+                Ok::<(), std::convert::Infallible>(())
+            },
         );
+        let Ok(_) = read;
         dist
-    }
-
-    fn enumerate(
-        &mut self,
-        edge: VEdge,
-        level: usize,
-        path_weight_sqr: f64,
-        bits_of_qubit: &[Vec<usize>],
-        outcome: &mut Vec<bool>,
-        dist: &mut OutcomeDistribution,
-    ) {
-        const PRUNE: f64 = 1e-12;
-        let mass = path_weight_sqr * self.package.norm_sqr(edge);
-        if mass < PRUNE {
-            return;
-        }
-        if level == 0 {
-            dist.add(outcome.clone(), mass);
-            return;
-        }
-        let qubit = level - 1;
-        if edge.is_zero() {
-            return;
-        }
-        let node_weight = self.package.vweight(edge).norm_sqr();
-        let node = edge;
-        // Children of the node at this level.
-        let (child0, child1) = {
-            let amps_level = self.package.vedge_level(node).expect("non-terminal");
-            debug_assert_eq!(amps_level as usize, qubit);
-            self.children_of(node)
-        };
-        let bits = &bits_of_qubit[qubit];
-        if bits.is_empty() {
-            // Traced-out qubit: accumulate both branches into the same
-            // outcome.
-            for child in [child0, child1] {
-                self.enumerate(
-                    child,
-                    level - 1,
-                    path_weight_sqr * node_weight,
-                    bits_of_qubit,
-                    outcome,
-                    dist,
-                );
-            }
-        } else {
-            for (value, child) in [(false, child0), (true, child1)] {
-                for &bit in bits {
-                    outcome[bit] = value;
-                }
-                self.enumerate(
-                    child,
-                    level - 1,
-                    path_weight_sqr * node_weight,
-                    bits_of_qubit,
-                    outcome,
-                    dist,
-                );
-            }
-            for &bit in bits {
-                outcome[bit] = false;
-            }
-        }
-    }
-
-    fn children_of(&self, edge: VEdge) -> (VEdge, VEdge) {
-        // Safe: only called on non-terminal edges.
-        let amps = self.package.vector_children(edge);
-        (amps[0], amps[1])
     }
 
     /// Simulation time helper: runs the unitary part of `circuit` in a fresh
@@ -585,6 +512,36 @@ mod tests {
         assert!(sim.state_size() <= 130);
         let dist = sim.outcome_distribution();
         assert_eq!(dist.len(), 2);
+    }
+
+    #[test]
+    fn unmeasured_qubits_are_not_enumerated() {
+        // An unmeasured 20-qubit H layer is one outcome (the empty record)
+        // read from the root's norm, not a walk over 2^20 paths.
+        let n = 20;
+        let mut layer = QuantumCircuit::new(n, 0);
+        for q in 0..n {
+            layer.h(q);
+        }
+        let mut sim = StateVectorSimulator::new(n);
+        sim.run(&layer).unwrap();
+        let dist = sim.outcome_distribution();
+        assert_eq!(dist.len(), 1);
+        assert!((dist.total() - 1.0).abs() < 1e-9);
+
+        // Measuring only the top qubit of a 64-qubit layer stops the walk
+        // right below it; a walk down to the terminal would never finish.
+        let n = 64;
+        let mut wide = QuantumCircuit::new(n, 1);
+        for q in 0..n {
+            wide.h(q);
+        }
+        wide.measure(n - 1, 0);
+        let mut sim = StateVectorSimulator::new(n);
+        sim.run(&wide).unwrap();
+        let dist = sim.outcome_distribution();
+        assert_eq!(dist.len(), 2);
+        assert!((dist.probability(&[true]) - 0.5).abs() < 1e-9);
     }
 
     use circuit::QuantumCircuit;

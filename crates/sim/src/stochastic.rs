@@ -84,17 +84,17 @@ pub fn sample_record(circuit: &QuantumCircuit, rng: &mut impl Rng) -> Result<Vec
                 }
             }
             OpKind::Measure { qubit, bit } => {
-                let (p0, _p1) = package.probabilities(state, *qubit);
+                let (p0, p1) = package.probabilities(state, *qubit);
                 let outcome = rng.gen::<f64>() >= p0;
-                let (collapsed, _) = package.collapse(state, *qubit, outcome, true);
-                state = collapsed;
+                state =
+                    package.project(state, *qubit, outcome, Some(if outcome { p1 } else { p0 }));
                 bits[*bit] = outcome;
             }
             OpKind::Reset { qubit } => {
-                let (p0, _p1) = package.probabilities(state, *qubit);
+                let (p0, p1) = package.probabilities(state, *qubit);
                 let outcome = rng.gen::<f64>() >= p0;
-                let (collapsed, _) = package.collapse(state, *qubit, outcome, true);
-                state = collapsed;
+                state =
+                    package.project(state, *qubit, outcome, Some(if outcome { p1 } else { p0 }));
                 if outcome {
                     state = package.apply_gate(state, &gates::x(), *qubit, &[]);
                 }
