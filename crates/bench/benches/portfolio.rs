@@ -6,22 +6,20 @@
 //! instance — that is the whole point of racing them — while a fixed single
 //! scheme is sometimes the slow one.
 //!
-//! The `portfolio_scheduler` group compares the telemetry-driven
-//! *predicted* launch policy against racing everything on a QFT/QPE
-//! workload and records the comparison (wall times, scheme launches,
-//! verdicts) in `BENCH_scheduler.json`. It doubles as the CI scheduler
-//! smoke: with cold stats the predicted policy must degrade to exact race
-//! parity, and with stats warmed by one pass over the same workload it must
-//! launch strictly fewer schemes with identical verdicts.
+//! The `portfolio_scheduler` group compares telemetry-predicted plans
+//! ([`verify_portfolio_recorded`] with a warm store) against racing
+//! everything ([`verify_portfolio`]) on a QFT/QPE workload and records the
+//! comparison (wall times, scheme launches, verdicts) in
+//! `BENCH_scheduler.json`. It doubles as the CI scheduler smoke: with a
+//! cold store the recorded run must be an exact race, and with a store
+//! warmed by one pass over the same workload it must launch strictly fewer
+//! schemes with identical verdicts.
 
 use bench::{build_instance, min_wall_time, Family};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dd::Budget;
 use portfolio::telemetry::TelemetryStore;
-use portfolio::{
-    run_scheme, verify_portfolio, verify_portfolio_recorded, PortfolioConfig, SchedulePolicy,
-    Scheme,
-};
+use portfolio::{run_scheme, verify_portfolio, verify_portfolio_recorded, PortfolioConfig, Scheme};
 use qcec::Strategy;
 use std::sync::Mutex;
 
@@ -119,57 +117,54 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
         .iter()
         .map(|&(family, n)| build_instance(family, n))
         .collect();
-    let race_config = PortfolioConfig::default();
-    let predicted_config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..PortfolioConfig::default()
-    };
+    let config = PortfolioConfig::default();
 
-    // Phase 1 — cold stats: the predicted policy must degrade to exact
-    // race-everything behaviour (same verdicts, same launch counts, no
-    // prediction flag). Each pair gets a *fresh* empty store for the cold
-    // check (the feature buckets are deliberately coarse, so recording one
-    // pair can legitimately warm another's bucket); the race pass records
-    // into the store the warm phase uses.
+    // Phase 1 — cold store: a recorded run must be exact race-everything
+    // behaviour (same verdicts, same launch counts, no prediction flag).
+    // Each pair gets a *fresh* empty store for the cold check (the feature
+    // buckets are deliberately coarse, so recording one pair can
+    // legitimately warm another's bucket); one more recorded run per pair
+    // warms the store the second phase uses.
     let warm_stats = Mutex::new(TelemetryStore::new());
     for instance in &instances {
-        let race = verify_portfolio_recorded(
-            &instance.static_circuit,
-            &instance.dynamic_circuit,
-            &race_config,
-            Some(&warm_stats),
-        );
+        let race = verify_portfolio(&instance.static_circuit, &instance.dynamic_circuit, &config);
         let fresh = Mutex::new(TelemetryStore::new());
         let cold = verify_portfolio_recorded(
             &instance.static_circuit,
             &instance.dynamic_circuit,
-            &predicted_config,
+            &config,
             Some(&fresh),
         );
         assert!(
             !cold.predicted,
-            "{}/{}: cold stats must not steer the plan",
+            "{}/{}: a cold store must not steer the plan",
             instance.family.name(),
             instance.n
         );
         assert_eq!(
             cold.verdict.considered_equivalent(),
             race.verdict.considered_equivalent(),
-            "{}/{}: cold predicted changed the verdict",
+            "{}/{}: a cold store changed the verdict",
             instance.family.name(),
             instance.n
         );
         assert_eq!(
             cold.schemes.len(),
             race.schemes.len(),
-            "{}/{}: cold predicted changed the launch count",
+            "{}/{}: a cold store changed the launch count",
             instance.family.name(),
             instance.n
         );
+        verify_portfolio_recorded(
+            &instance.static_circuit,
+            &instance.dynamic_circuit,
+            &config,
+            Some(&warm_stats),
+        );
     }
 
-    // Phase 2 — the cold pass above already warmed the store (one recorded
-    // race per pair). Re-verify predictively: identical verdicts, strictly
+    // Phase 2 — the cold pass above warmed the store (one recorded race
+    // per pair). Re-verify against it: identical verdicts, strictly
     // fewer scheme launches across the workload.
     let mut rows = Vec::new();
     let mut race_launches_total = 0usize;
@@ -177,13 +172,9 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
     for instance in &instances {
         let static_circuit = &instance.static_circuit;
         let dynamic_circuit = &instance.dynamic_circuit;
-        let race = verify_portfolio(static_circuit, dynamic_circuit, &race_config);
-        let predicted = verify_portfolio_recorded(
-            static_circuit,
-            dynamic_circuit,
-            &predicted_config,
-            Some(&warm_stats),
-        );
+        let race = verify_portfolio(static_circuit, dynamic_circuit, &config);
+        let predicted =
+            verify_portfolio_recorded(static_circuit, dynamic_circuit, &config, Some(&warm_stats));
         assert!(
             predicted.predicted,
             "{}/{}: warm stats must steer the plan",
@@ -201,16 +192,11 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
         predicted_launches_total += predicted.schemes.len();
 
         let race_secs = min_wall_time(3, || {
-            verify_portfolio(static_circuit, dynamic_circuit, &race_config)
+            verify_portfolio(static_circuit, dynamic_circuit, &config)
         })
         .as_secs_f64();
         let predicted_secs = min_wall_time(3, || {
-            verify_portfolio_recorded(
-                static_circuit,
-                dynamic_circuit,
-                &predicted_config,
-                Some(&warm_stats),
-            )
+            verify_portfolio_recorded(static_circuit, dynamic_circuit, &config, Some(&warm_stats))
         })
         .as_secs_f64();
         println!(
@@ -273,21 +259,17 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
     // Criterion timings for the grep-friendly log.
     let mut group = c.benchmark_group("portfolio_scheduler");
     group.sample_size(10);
-    for (label, config) in [("race", &race_config), ("predicted", &predicted_config)] {
-        let instance = &instances[1]; // QPE 9
-        let static_circuit = &instance.static_circuit;
-        let dynamic_circuit = &instance.dynamic_circuit;
-        group.bench_with_input(BenchmarkId::new(label, instance.n), &(), |b, _| {
-            b.iter(|| {
-                verify_portfolio_recorded(
-                    static_circuit,
-                    dynamic_circuit,
-                    config,
-                    Some(&warm_stats),
-                )
-            })
-        });
-    }
+    let instance = &instances[1]; // QPE 9
+    let static_circuit = &instance.static_circuit;
+    let dynamic_circuit = &instance.dynamic_circuit;
+    group.bench_with_input(BenchmarkId::new("race", instance.n), &(), |b, _| {
+        b.iter(|| verify_portfolio(static_circuit, dynamic_circuit, &config))
+    });
+    group.bench_with_input(BenchmarkId::new("predicted", instance.n), &(), |b, _| {
+        b.iter(|| {
+            verify_portfolio_recorded(static_circuit, dynamic_circuit, &config, Some(&warm_stats))
+        })
+    });
     group.finish();
 }
 

@@ -36,10 +36,8 @@ use crate::engine::{
 };
 use crate::scheme::Scheme;
 use crate::service::{Request, ServiceConfig, VerificationService};
-use crate::telemetry::TelemetryStore;
 use qcec::Equivalence;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One circuit pair of a batch workload.
@@ -220,12 +218,13 @@ pub struct BatchOptions {
     pub workers: usize,
     /// Portfolio configuration applied to every pair.
     pub portfolio: PortfolioConfig,
-    /// Optional persistent telemetry file (`verify --stats-file`): loaded
-    /// before the batch (a missing file starts empty), fed to the
-    /// scheduler of every pair, folded with the batch's new reports and
-    /// saved back afterwards. An unreadable or malformed file is reported
-    /// on stderr and the batch runs cold — and the damaged file is left
-    /// untouched (no save), so recorded history is never clobbered.
+    /// Optional persistent telemetry file (`verify --stats-file`), handed
+    /// to the batch's service as [`ServiceConfig::stats`]: loaded before
+    /// the batch (a missing file starts empty), fed to the scheduler of
+    /// every pair, folded with the batch's new reports and saved back
+    /// afterwards. An unreadable or malformed file is reported on stderr
+    /// and the batch runs cold — and the damaged file is left untouched
+    /// (no save), so recorded history is never clobbered.
     pub stats: Option<PathBuf>,
 }
 
@@ -413,83 +412,25 @@ pub(crate) fn failed_pair(spec: &PairSpec, name: String, error: String) -> PairR
 /// Fans the manifest's pairs over a pool of `options.workers` threads, each
 /// running full portfolio races, and collects a [`BatchReport`].
 ///
-/// With [`BatchOptions::stats`] set, the persistent telemetry store is
-/// loaded first (a missing file starts empty; an unreadable or malformed
-/// one is reported on stderr and treated as empty), fed to every pair's
-/// scheduler, and saved back — with the batch's new telemetry folded in —
-/// when the batch finishes.
+/// With [`BatchOptions::stats`] set, the batch's service loads the
+/// persistent telemetry store first, plans every pair against it and saves
+/// it back, with the batch's new telemetry folded in, when the batch
+/// finishes.
 pub fn run_batch(manifest: &Manifest, options: &BatchOptions) -> BatchReport {
-    match &options.stats {
-        None => run_batch_recorded(manifest, options, None),
-        Some(path) => {
-            // A load failure (unreadable or malformed — a *missing* file is
-            // simply a cold start) runs the batch cold but must NOT save
-            // afterwards: overwriting the existing file with only this
-            // batch's stats would silently destroy the accumulated history.
-            let (store, load_failed) = match TelemetryStore::load(path) {
-                Ok(store) => (store, false),
-                Err(error) => {
-                    eprintln!(
-                        "warning: cannot load stats file {}: {error}; running cold",
-                        path.display()
-                    );
-                    (TelemetryStore::new(), true)
-                }
-            };
-            let telemetry = Mutex::new(store);
-            let report = run_batch_recorded(manifest, options, Some(&telemetry));
-            let store = telemetry
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            if load_failed {
-                eprintln!(
-                    "warning: not saving stats to {} — the existing file failed to load and \
-                     saving would overwrite it; repair or remove it first",
-                    path.display()
-                );
-            } else if let Err(error) = store.save(path) {
-                eprintln!(
-                    "warning: cannot save stats file {}: {error}",
-                    path.display()
-                );
-            }
-            report
-        }
-    }
-}
-
-/// [`run_batch`] against a caller-owned telemetry store: every pair's
-/// scheduler plans against it and folds its reports back in. This is the
-/// building block behind [`BatchOptions::stats`]; use it directly to keep
-/// telemetry in memory across several batches (e.g. a long-running
-/// service).
-pub fn run_batch_recorded(
-    manifest: &Manifest,
-    options: &BatchOptions,
-    telemetry: Option<&Mutex<TelemetryStore>>,
-) -> BatchReport {
     let start = Instant::now();
     // The batch driver is a one-shot front-end over the service core: spin
     // up a service sized for the manifest, submit every pair, wait for the
-    // outcomes in manifest order, drain. The caller's telemetry store is
-    // moved into the service for the run (the engine folds every race into
-    // it there) and moved back out of `drain()` afterwards.
-    let seed = telemetry.map_or_else(TelemetryStore::new, |store| {
-        std::mem::take(&mut *store.lock().unwrap_or_else(PoisonError::into_inner))
-    });
+    // outcomes in manifest order, drain.
     let chain_specs = manifest.chain_specs();
     let workload = manifest.pairs.len() + chain_specs.len();
-    let service = VerificationService::start_seeded(
-        ServiceConfig {
-            portfolio: options.portfolio.clone(),
-            workers: options.workers.clamp(1, workload.max(1)),
-            // A batch never queues more than its own manifest; size the
-            // queue so admission control cannot reject.
-            max_queue: workload,
-            stats: None,
-        },
-        seed,
-    );
+    let service = VerificationService::start(ServiceConfig {
+        portfolio: options.portfolio.clone(),
+        workers: options.workers.clamp(1, workload.max(1)),
+        // A batch never queues more than its own manifest; size the queue
+        // so admission control cannot reject.
+        max_queue: workload,
+        stats: options.stats.clone(),
+    });
     let handles: Vec<_> = manifest
         .pairs
         .iter()
@@ -515,10 +456,7 @@ pub fn run_batch_recorded(
         .into_iter()
         .map(|handle| handle.wait().report)
         .collect();
-    let folded = service.drain();
-    if let Some(store) = telemetry {
-        *store.lock().unwrap_or_else(PoisonError::into_inner) = folded;
-    }
+    service.drain();
     let total_time = start.elapsed();
     let chain_steps_verified: usize = chains.iter().map(|c| c.steps_verified).sum();
     let verifications = pairs.len() + chain_steps_verified;

@@ -21,13 +21,11 @@
 //!                     SECS > 0)
 //!   --stats-file FILE persistent scheme telemetry: loaded before the batch,
 //!                     folded with this batch's telemetry, saved back after.
-//!                     Switches the scheduler to the predicted policy (top-2
-//!                     launch, escalate on stall) unless --policy race is
-//!                     given; with an empty/missing file the scheduler
-//!                     degrades to racing everything.
-//!   --policy P        race | predicted — force the launch policy
-//!                     (predicted without --stats-file plans from an empty
-//!                     store, i.e. races)
+//!                     Pairs whose feature bucket has stats in the file
+//!                     launch only the two predicted winners (escalating to
+//!                     the rest on a stall or an inconclusive wave); the
+//!                     others race every applicable scheme. Without it
+//!                     every pair races and nothing is recorded.
 //!   --trace-file FILE write a structured JSONL trace of the run: pair and
 //!                     race spans, scheme launches, verdicts, cancellations,
 //!                     escalations and garbage collections, all tagged with
@@ -47,9 +45,14 @@
 
 use portfolio::batch::{load_manifest, manifest_from_dir, run_batch, BatchOptions, Manifest};
 use portfolio::chain::{ChainSpec, ChainStepSpec};
-use portfolio::{deadline_flag, policy_flag, positive_flag, SchedulePolicy};
+use portfolio::{deadline_flag, positive_flag};
 use std::path::PathBuf;
 use std::time::Duration;
+
+const USAGE: &str = "usage: verify (--manifest FILE | --dir DIR | --chain A,B,C...) \
+                     [--out FILE] [--workers N] [--node-limit N] [--leaf-limit N] \
+                     [--deadline SECS] [--stats-file FILE] [--trace-file FILE] \
+                     [--metrics] [--compact]";
 
 struct Args {
     manifest: Option<PathBuf>,
@@ -61,7 +64,6 @@ struct Args {
     leaf_limit: Option<usize>,
     deadline: Option<Duration>,
     stats_file: Option<PathBuf>,
-    policy: Option<SchedulePolicy>,
     trace_file: Option<PathBuf>,
     metrics: bool,
     compact: bool,
@@ -78,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
         leaf_limit: None,
         deadline: None,
         stats_file: None,
-        policy: None,
         trace_file: None,
         metrics: false,
         compact: false,
@@ -103,21 +104,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--deadline" => args.deadline = Some(deadline_flag(value("--deadline")?)?),
             "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
-            "--policy" => args.policy = Some(policy_flag(value("--policy")?)?),
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--metrics" => args.metrics = true,
             "--compact" => args.compact = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: verify (--manifest FILE | --dir DIR | --chain A,B,C...) \
-                     [--out FILE] [--workers N] \
-                     [--node-limit N] [--leaf-limit N] [--deadline SECS] \
-                     [--stats-file FILE] [--policy race|predicted] \
-                     [--trace-file FILE] [--metrics] [--compact]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument `{other}`")),
+            other => return Err(format!("unknown argument `{other}`; {USAGE}")),
         }
     }
     let sources = usize::from(args.manifest.is_some())
@@ -212,14 +206,6 @@ fn main() {
     options.portfolio.node_limit = args.node_limit;
     options.portfolio.leaf_limit = args.leaf_limit;
     options.portfolio.deadline = args.deadline;
-    // A stats file implies the predicted policy (that is its point); an
-    // explicit --policy always wins. Prediction with a cold store degrades
-    // to racing inside the scheduler, so the combination is always safe.
-    options.portfolio.policy = match (args.policy, &args.stats_file) {
-        (Some(policy), _) => policy,
-        (None, Some(_)) => SchedulePolicy::predicted(),
-        (None, None) => SchedulePolicy::Race,
-    };
     options.stats = args.stats_file;
 
     if let Some(path) = &args.trace_file {

@@ -3,18 +3,25 @@
 //! Speaks the newline-delimited JSON-RPC protocol of [`portfolio::wire`]
 //! over stdio (the default; one client) or a Unix socket (`--socket PATH`;
 //! concurrent clients, one thread per connection). All clients share one
-//! [`portfolio::service::VerificationService`]: the folded telemetry and the
-//! admission queue are daemon-global. Decision diagrams are not: each race
-//! runs one private package per scheme thread and frees it when it ends.
+//! [`portfolio::service::VerificationService`]: the admission queue and,
+//! with `--stats-file`, the folded telemetry are daemon-global. Decision
+//! diagrams are not: each race runs one private package per scheme thread
+//! and frees it when it ends.
 //!
 //! ```text
 //! verifyd [--socket PATH] [--workers N] [--max-queue N]
-//!         [--deadline SECS] [--node-limit N] [--policy race|predicted]
-//!         [--stats-file FILE] [--trace-file FILE] [--max-frame-bytes N]
+//!         [--deadline SECS] [--node-limit N] [--stats-file FILE]
+//!         [--trace-file FILE] [--max-frame-bytes N]
 //! ```
 //!
 //! `--workers` and `--node-limit` take positive integers and `--deadline` a
 //! positive number of seconds; 0 is a usage error.
+//!
+//! `--stats-file FILE` keeps scheme telemetry: loaded at start (a missing
+//! file starts empty), folded with every race, saved on `drain`. Pairs whose
+//! feature bucket has stats launch only the two predicted winners. Without
+//! it every pair races every applicable scheme and nothing is recorded; to
+//! learn in memory only, name a scratch file.
 //!
 //! Methods: `verify-pair`, `verify-chain`, `verify-batch`, `stats`,
 //! `drain`, `shutdown` (wire details in [`portfolio::wire`]). Responses are
@@ -37,7 +44,7 @@ use portfolio::service::{
     ChainOutcome, Request, RequestOutcome, ServiceConfig, Source, VerificationService,
 };
 use portfolio::wire::{self, code, Frame, RpcRequest};
-use portfolio::{deadline_flag, policy_flag, positive_flag, SchedulePolicy};
+use portfolio::{deadline_flag, positive_flag};
 use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
@@ -52,7 +59,6 @@ struct Args {
     max_queue: Option<usize>,
     deadline: Option<Duration>,
     node_limit: Option<usize>,
-    policy: Option<SchedulePolicy>,
     stats_file: Option<PathBuf>,
     trace_file: Option<PathBuf>,
     max_frame: usize,
@@ -65,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         max_queue: None,
         deadline: None,
         node_limit: None,
-        policy: None,
         stats_file: None,
         trace_file: None,
         max_frame: wire::MAX_FRAME_BYTES,
@@ -90,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
             "--node-limit" => {
                 args.node_limit = Some(positive_flag("--node-limit", value("--node-limit")?)?);
             }
-            "--policy" => args.policy = Some(policy_flag(value("--policy")?)?),
             "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--max-frame-bytes" => {
@@ -105,8 +109,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!(
                     "unknown flag `{other}`; usage: verifyd [--socket PATH] [--workers N] \
                      [--max-queue N] [--deadline SECS] [--node-limit N] \
-                     [--policy race|predicted] [--stats-file FILE] [--trace-file FILE] \
-                     [--max-frame-bytes N]"
+                     [--stats-file FILE] [--trace-file FILE] [--max-frame-bytes N]"
                 ));
             }
         }
@@ -647,14 +650,6 @@ fn main() {
     }
     config.portfolio.deadline = args.deadline;
     config.portfolio.node_limit = args.node_limit;
-    // Like `verify`: a stats file implies the predicted policy unless an
-    // explicit --policy overrides; prediction over an empty store degrades
-    // to racing inside the scheduler.
-    config.portfolio.policy = match (args.policy, &args.stats_file) {
-        (Some(policy), _) => policy,
-        (None, Some(_)) => SchedulePolicy::predicted(),
-        (None, None) => SchedulePolicy::Race,
-    };
     config.stats = args.stats_file;
 
     if let Some(path) = &args.trace_file {

@@ -2,15 +2,20 @@
 //!
 //! The engine owns no policy. It asks the [scheduler](crate::scheduler) for
 //! a [`SchedulePlan`] and executes it — sequentially on the calling thread,
-//! or as a thread race with an optional held-back escalation wave — wiring
-//! up budgets, cancellation and per-scheme telemetry along the way. Every
+//! or on worker threads — wiring up budgets, cancellation and per-scheme
+//! telemetry along the way. Both threaded plan shapes run through one
+//! spawn/collect loop and one launch body: a race is a plan with an empty
+//! reserve, whose favourite the calling thread runs itself before it
+//! collects; a predicted plan spawns every launch while the calling thread
+//! collects and keeps the stall clock. Every
 //! launched scheme builds its diagrams in private decision-diagram packages
-//! on its own thread; the racing threads share only the cancel token. Which schemes launch, in what order and
-//! with what memory hints is entirely the plan's business; what a scheme
-//! *does* is its [registry descriptor](crate::scheme::SchemeDescriptor)'s.
+//! on its own thread; the racing threads share only the cancel token. Which
+//! schemes launch, in what order and with what memory hints is entirely the
+//! plan's business; what a scheme *does* is
+//! [`scheme::run`](crate::scheme::run)'s.
 
-use crate::scheduler::{self, SchedulePlan, SchedulePolicy};
-use crate::scheme::{applicable_descriptors, Scheme};
+use crate::scheduler::{self, SchedulePlan};
+use crate::scheme::{self, applicable_descriptors, Scheme};
 use crate::telemetry::TelemetryStore;
 use circuit::QuantumCircuit;
 use dd::{Budget, CancelToken};
@@ -21,7 +26,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of a portfolio run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PortfolioConfig {
     /// Configuration shared by the underlying checks (including the
     /// decision-diagram [`MemoryConfig`](dd::MemoryConfig) their packages
@@ -30,12 +35,8 @@ pub struct PortfolioConfig {
     /// Extraction settings for the fixed-input scheme.
     pub extraction: ExtractionConfig,
     /// Schemes to launch; empty lets the scheduler select and order the
-    /// [`applicable_schemes`] according to [`policy`](Self::policy).
+    /// [`applicable_schemes`].
     pub schemes: Vec<Scheme>,
-    /// Launch policy: race everything (default) or launch the predicted
-    /// winners first and escalate on stall. Ignored when
-    /// [`schemes`](Self::schemes) is explicit.
-    pub policy: SchedulePolicy,
     /// Optional per-scheme decision-diagram node budget, metered on the
     /// live nodes of each of the scheme's packages. `Some(0)` is rejected by
     /// both front-ends: every scheme would trip it on its first node.
@@ -52,21 +53,6 @@ pub struct PortfolioConfig {
     /// race-internal winner-cancels-losers token: the engine can still tell
     /// "a competitor won" apart from "the caller walked away".
     pub cancel: Option<CancelToken>,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            configuration: Configuration::default(),
-            extraction: ExtractionConfig::default(),
-            schemes: Vec::new(),
-            policy: SchedulePolicy::Race,
-            node_limit: None,
-            leaf_limit: None,
-            deadline: None,
-            cancel: None,
-        }
-    }
 }
 
 impl PortfolioConfig {
@@ -115,7 +101,7 @@ pub struct SchemeReport {
 }
 
 /// Why a predicted run launched its reserve wave (see
-/// [`SchedulePolicy::Predicted`]). Serialized as `"stall"` /
+/// [`SchedulePlan::reserve`]). Serialized as `"stall"` /
 /// `"inconclusive-drain"` in batch JSON and trace events.
 ///
 /// The two reasons point at different scheduler mistakes: a [`Stall`]
@@ -127,7 +113,6 @@ pub struct SchemeReport {
 ///
 /// [`Stall`]: EscalationReason::Stall
 /// [`InconclusiveDrain`]: EscalationReason::InconclusiveDrain
-/// [`SchedulePolicy::Predicted`]: crate::scheduler::SchedulePolicy::Predicted
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EscalationReason {
     /// No conclusive verdict arrived within the plan's stall deadline
@@ -185,8 +170,8 @@ pub struct PortfolioResult {
     /// cancellation, so this stays close to `time_to_verdict`).
     pub total_time: Duration,
     /// Whether recorded telemetry steered the launch plan (`false` for
-    /// race-everything runs, including predicted runs that degraded to
-    /// racing because the pair's feature bucket had no stats).
+    /// race-everything runs: no store, or no stats for the pair's feature
+    /// bucket).
     pub predicted: bool,
     /// Why a predicted run had to launch its reserve wave, if it did.
     /// `None` when the primary wave settled the pair — and always `None`
@@ -233,9 +218,8 @@ fn conclusive(verdict: Equivalence) -> bool {
 ///
 /// This is the worker body of [`verify_portfolio`], exposed so benchmarks
 /// and tests can time individual schemes under identical conditions. The
-/// scheme body is the registry descriptor's
-/// [`runner`](crate::scheme::SchemeDescriptor::runner); this function adds
-/// timing and folds the outcome into a [`SchemeReport`].
+/// scheme body is [`scheme::run`]; this function adds timing and folds the
+/// outcome into a [`SchemeReport`].
 pub fn run_scheme(
     scheme: Scheme,
     left: &QuantumCircuit,
@@ -244,7 +228,7 @@ pub fn run_scheme(
     budget: &Budget,
 ) -> SchemeReport {
     let start = Instant::now();
-    let outcome = (scheme.descriptor().runner)(left, right, config, budget);
+    let outcome = scheme::run(scheme, left, right, config, budget);
     SchemeReport {
         scheme,
         // `ProbablyEquivalent` (simulative agreement) is advisory, so it
@@ -305,34 +289,83 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Folds scheme reports into the final result: first conclusive verdict
-/// wins; otherwise the strongest advisory verdict is used.
-fn combine(
-    start: Instant,
+/// The verdict bookkeeping of one run: every scheme report in the order
+/// the collector received it, plus the conclusive verdict that *finished*
+/// first.
+#[derive(Default)]
+struct Tally {
     reports: Vec<SchemeReport>,
     verdict: Option<Equivalence>,
     winner: Option<Scheme>,
     time_to_verdict: Option<Duration>,
-) -> PortfolioResult {
-    let total_time = start.elapsed();
-    let (verdict, winner) = match verdict {
-        Some(verdict) => (Some(verdict), winner),
-        None => match reports
-            .iter()
-            .find(|r| r.verdict == Some(Equivalence::ProbablyEquivalent))
+}
+
+impl Tally {
+    /// Records a report that finished `finished_at` into the run. Reports
+    /// can arrive out of finish order, so a conclusive one only takes the
+    /// lead when it finished before the current winner.
+    fn note(&mut self, report: SchemeReport, finished_at: Duration) {
+        if report.conclusive && self.time_to_verdict.is_none_or(|t| finished_at < t) {
+            self.verdict = report.verdict;
+            self.winner = Some(report.scheme);
+            self.time_to_verdict = Some(finished_at);
+            obs::trace::event(
+                "race.verdict",
+                &[
+                    ("winner", report.scheme.name().into()),
+                    (
+                        "verdict",
+                        report
+                            .verdict
+                            .map(|v| v.to_string().into())
+                            .unwrap_or_else(|| "none".into()),
+                    ),
+                    ("at_us", finished_at.into()),
+                ],
+            );
+        }
+        self.reports.push(report);
+    }
+
+    /// Folds the tally into the final result: the first conclusive verdict
+    /// wins; otherwise the strongest advisory verdict is used.
+    fn finish(mut self, start: Instant) -> PortfolioResult {
+        // Refutation precedence: when the fixed-input scheme won with its
+        // weaker all-zeros-input equivalence claim but a functional scheme
+        // *also* finished and proved the circuits differ, the refutation
+        // stands (the time to the first verdict is kept as the race
+        // telemetry).
+        if self.winner == Some(Scheme::FixedInput)
+            && self.verdict.is_some_and(Equivalence::considered_equivalent)
         {
-            Some(report) => (report.verdict, Some(report.scheme)),
-            None => (None, None),
-        },
-    };
-    PortfolioResult {
-        verdict: verdict.unwrap_or(Equivalence::NoInformation),
-        winner,
-        time_to_verdict: time_to_verdict.unwrap_or(total_time),
-        total_time,
-        predicted: false,
-        escalation: None,
-        schemes: reports,
+            if let Some(refutation) = self.reports.iter().find(|r| {
+                r.scheme != Scheme::FixedInput && r.verdict == Some(Equivalence::NotEquivalent)
+            }) {
+                self.verdict = refutation.verdict;
+                self.winner = Some(refutation.scheme);
+            }
+        }
+        let total_time = start.elapsed();
+        let (verdict, winner) = match self.verdict {
+            Some(verdict) => (Some(verdict), self.winner),
+            None => match self
+                .reports
+                .iter()
+                .find(|r| r.verdict == Some(Equivalence::ProbablyEquivalent))
+            {
+                Some(report) => (report.verdict, Some(report.scheme)),
+                None => (None, None),
+            },
+        };
+        PortfolioResult {
+            verdict: verdict.unwrap_or(Equivalence::NoInformation),
+            winner,
+            time_to_verdict: self.time_to_verdict.unwrap_or(total_time),
+            total_time,
+            predicted: false,
+            escalation: None,
+            schemes: self.reports,
+        }
     }
 }
 
@@ -340,25 +373,20 @@ fn combine(
 /// a circuit pair and returns the first conclusive verdict plus per-scheme
 /// telemetry.
 ///
-/// Under the default [`SchedulePolicy::Race`] every applicable scheme races
-/// on its own `std::thread` worker. Each scheme owns private decision-
+/// Without recorded stats every applicable scheme races on its own
+/// `std::thread` worker. Each scheme owns private decision-
 /// diagram packages, so the race needs no locks and no cross-thread garbage
 /// collection; the workers share only one [`CancelToken`], so the moment a
 /// conclusive verdict arrives the losing schemes stop burning cores and
 /// unwind. The wall time of the whole call therefore tracks the *fastest*
 /// scheme, while the verdict quality matches the best scheme that could
-/// have run alone. Two plan shapes keep the overhead over the fastest
-/// single scheme small:
+/// have run alone. Tiny instances (≤ 8 qubits, ≤ 256 operations) get a
+/// *sequential* plan instead — the schemes are tried one after another on
+/// the calling thread, below the cost of a thread spawn.
 ///
-/// * tiny instances (≤ 8 qubits, ≤ 256 operations) get a *sequential* plan
-///   — the schemes are tried one after another on the calling thread,
-///   below the cost of a thread spawn;
-/// * in a race, the heuristically fastest scheme runs inline on the calling
-///   thread while only the competitors are spawned.
-///
-/// Under [`SchedulePolicy::Predicted`] (and recorded stats — see
-/// [`verify_portfolio_recorded`]) only the top-`k` predicted winners launch,
-/// with the rest of the portfolio held back as an escalation wave.
+/// With recorded stats (see [`verify_portfolio_recorded`]) only the two
+/// predicted winners launch, with the rest of the portfolio held back as an
+/// escalation wave.
 pub fn verify_portfolio(
     left: &QuantumCircuit,
     right: &QuantumCircuit,
@@ -368,10 +396,10 @@ pub fn verify_portfolio(
 }
 
 /// [`verify_portfolio`] wired to a persistent [`TelemetryStore`]: the
-/// scheduler plans against the store's recorded stats (enabling
-/// [`SchedulePolicy::Predicted`] to actually predict), and every scheme
-/// report of the run is folded back in afterwards. This is the entry point
-/// the batch driver uses for `verify --stats-file`.
+/// scheduler plans against the store's recorded stats (predicting once the
+/// pair's bucket is warm), and every scheme report of the run is folded
+/// back in afterwards. This is the entry point the verification service
+/// uses when it keeps a stats file (`verify --stats-file`).
 pub fn verify_portfolio_recorded(
     left: &QuantumCircuit,
     right: &QuantumCircuit,
@@ -407,7 +435,7 @@ fn execute_plan(
     let cancel = CancelToken::new();
     obs::metrics::incr(obs::metrics::PF_RACES);
     // The race span parents every scheme/GC span of this pair; workers
-    // inherit it through the explicit context handoff in `spawn_scheme`.
+    // inherit it through the explicit context handoff in `spawn_wave`.
     let race_span = obs::trace::span(
         "race",
         &[
@@ -445,13 +473,12 @@ fn execute_plan(
         .map(|scheduled| (scheduled.scheme, config.with_hints(scheduled)))
         .collect();
 
+    let start = Instant::now();
+    let mut tally = Tally::default();
+    let mut escalation: Option<EscalationReason> = None;
+
     if plan.sequential {
-        let start = Instant::now();
         let budget = make_budget();
-        let mut reports = Vec::new();
-        let mut verdict = None;
-        let mut winner = None;
-        let mut time_to_verdict = None;
         for (scheme, scheme_config) in &launches {
             // An external cancellation (client disconnect) ends the
             // sequential fallback chain between schemes — each scheme
@@ -465,282 +492,137 @@ fn execute_plan(
             obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
             let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget);
             let conclusive = report.conclusive;
-            if conclusive {
-                verdict = report.verdict;
-                winner = Some(report.scheme);
-                time_to_verdict = Some(start.elapsed());
-                obs::trace::event(
-                    "race.verdict",
-                    &[
-                        ("winner", report.scheme.name().into()),
-                        (
-                            "verdict",
-                            report
-                                .verdict
-                                .map(|v| v.to_string().into())
-                                .unwrap_or_else(|| "none".into()),
-                        ),
-                        ("at_us", start.elapsed().into()),
-                    ],
-                );
-            }
-            reports.push(report);
+            tally.note(report, start.elapsed());
             if conclusive {
                 break;
             }
         }
-        let mut result = combine(start, reports, verdict, winner, time_to_verdict);
-        result.predicted = plan.predicted;
-        finish_race(race_span, &result);
-        return result;
-    }
-
-    let start = Instant::now();
-    let mut reports: Vec<SchemeReport> = Vec::with_capacity(launches.len());
-    let mut verdict: Option<Equivalence> = None;
-    let mut winner: Option<Scheme> = None;
-    let mut time_to_verdict: Option<Duration> = None;
-    let mut escalation: Option<EscalationReason> = None;
-
-    // The run winner is the conclusive scheme that *finished* first —
-    // reports can be handled out of finish order because the collector may
-    // be busy with the inline scheme.
-    fn note(
-        report: SchemeReport,
-        finished_at: Duration,
-        verdict: &mut Option<Equivalence>,
-        winner: &mut Option<Scheme>,
-        time_to_verdict: &mut Option<Duration>,
-        reports: &mut Vec<SchemeReport>,
-    ) {
-        if report.conclusive && time_to_verdict.map(|t| finished_at < t).unwrap_or(true) {
-            *verdict = report.verdict;
-            *winner = Some(report.scheme);
-            *time_to_verdict = Some(finished_at);
-            obs::trace::event(
-                "race.verdict",
-                &[
-                    ("winner", report.scheme.name().into()),
-                    (
-                        "verdict",
-                        report
-                            .verdict
-                            .map(|v| v.to_string().into())
-                            .unwrap_or_else(|| "none".into()),
-                    ),
-                    ("at_us", finished_at.into()),
-                ],
-            );
-        }
-        reports.push(report);
-    }
-
-    let primary = plan.primary.len();
-    std::thread::scope(|scope| {
-        // Reports travel with the run-relative instant their scheme
-        // finished, so `time_to_verdict` reflects when the verdict was
-        // *produced*, not when the collector got around to processing it.
-        let (sender, receiver) = mpsc::channel::<(SchemeReport, Duration)>();
-        let spawn_scheme = |index: usize, wave: &'static str| {
-            let budget = make_budget();
-            let sender = sender.clone();
-            let cancel = cancel.clone();
-            let launches = &launches;
-            // Captured on the coordinator, under the race span: the worker
-            // installs it so its scheme span (and every dd GC span inside)
-            // nests under this pair's race with the scheme tagged on.
-            let worker_ctx = obs::trace::current_context();
-            scope.spawn(move || {
-                let (scheme, scheme_config) = &launches[index];
-                let _trace = obs::trace::with_context(worker_ctx.with_scheme(scheme.name()));
-                obs::trace::event("scheme.launch", &[("wave", wave.into())]);
-                obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
-                let scheme_span = obs::trace::span("scheme.run", &[("wave", wave.into())]);
-                let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget);
-                let finished_at = start.elapsed();
-                if report.conclusive {
-                    // Cancel from inside the worker so losers start unwinding
-                    // even before the collector thread observes the report.
-                    cancel.cancel();
-                    obs::trace::event("race.cancel", &[("by", scheme.name().into())]);
-                }
-                scheme_span.end(&[
-                    ("conclusive", report.conclusive.into()),
-                    ("cancelled", report.cancelled.into()),
-                ]);
-                // The receiver only disappears once the scope ends, but be
-                // tolerant anyway: a worker must never panic on send.
-                let _ = sender.send((report, finished_at));
-            });
+    } else {
+        // A dead client must not trigger the escalation wave: the primaries
+        // unwind as inconclusive when the external token trips, which would
+        // otherwise read as an escalation cue.
+        let externally_cancelled = || {
+            config
+                .cancel
+                .as_ref()
+                .is_some_and(CancelToken::is_cancelled)
         };
-
-        match plan.escalate_after {
-            None => {
-                // Race everything: spawn the competitors and run the
-                // favourite (launch index 0) inline on the calling thread —
-                // when it wins, the common case given the registry's race
-                // ranks, the race adds no thread-spawn latency over the
-                // fastest single scheme.
-                for index in 1..launches.len() {
-                    spawn_scheme(index, "primary");
-                }
-                let (scheme, scheme_config) = &launches[0];
-                let inline_trace = obs::trace::with_context(
-                    obs::trace::current_context().with_scheme(scheme.name()),
-                );
-                obs::trace::event("scheme.launch", &[("wave", "inline".into())]);
-                obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
-                let inline_span = obs::trace::span("scheme.run", &[("wave", "inline".into())]);
-                let inline_report =
-                    run_scheme_caught(*scheme, left, right, scheme_config, &make_budget());
-                let inline_finished_at = start.elapsed();
-                if inline_report.conclusive {
-                    cancel.cancel();
-                    obs::trace::event("race.cancel", &[("by", scheme.name().into())]);
-                }
-                inline_span.end(&[
-                    ("conclusive", inline_report.conclusive.into()),
-                    ("cancelled", inline_report.cancelled.into()),
-                ]);
-                drop(inline_trace);
-                note(
-                    inline_report,
-                    inline_finished_at,
-                    &mut verdict,
-                    &mut winner,
-                    &mut time_to_verdict,
-                    &mut reports,
-                );
-                // Every worker sends exactly one report (panics are caught
-                // inside the worker body), so receive by count — the
-                // collector keeps a sender clone alive, so disconnection
-                // can never signal the end.
-                for _ in 1..launches.len() {
-                    let Ok((report, finished_at)) = receiver.recv() else {
-                        break;
-                    };
-                    note(
-                        report,
-                        finished_at,
-                        &mut verdict,
-                        &mut winner,
-                        &mut time_to_verdict,
-                        &mut reports,
-                    );
-                }
+        let primary = plan.primary.len();
+        let escalate_at = plan.escalate_after.map(|after| start + after);
+        // The body of every launch. `ctx` is captured on the collector,
+        // under the race span: the launch installs it so its scheme
+        // span (and every dd GC span inside) nests under this pair's
+        // race with the scheme tagged on.
+        let run_launch = |index: usize, ctx: obs::trace::Context, wave: &'static str| {
+            let (scheme, scheme_config) = &launches[index];
+            let _trace = obs::trace::with_context(ctx.with_scheme(scheme.name()));
+            obs::trace::event("scheme.launch", &[("wave", wave.into())]);
+            obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
+            let scheme_span = obs::trace::span("scheme.run", &[("wave", wave.into())]);
+            let report = run_scheme_caught(*scheme, left, right, scheme_config, &make_budget());
+            let finished_at = start.elapsed();
+            if report.conclusive {
+                // Cancel from inside the launch so losers start
+                // unwinding even before the collector observes the
+                // report.
+                cancel.cancel();
+                obs::trace::event("race.cancel", &[("by", scheme.name().into())]);
             }
-            Some(escalate_after) => {
-                // Predicted launch: the primary wave runs on workers while
-                // the collector keeps the stall clock. The reserve launches
-                // when the primary wave stalls past the deadline or drains
-                // without a conclusive verdict.
-                for index in 0..primary {
-                    spawn_scheme(index, "primary");
+            scheme_span.end(&[
+                ("conclusive", report.conclusive.into()),
+                ("cancelled", report.cancelled.into()),
+            ]);
+            (report, finished_at)
+        };
+        let run_launch = &run_launch;
+        std::thread::scope(|scope| {
+            // Reports travel with the run-relative instant their scheme
+            // finished, so `time_to_verdict` reflects when the verdict was
+            // *produced*, not when the collector got around to processing
+            // it.
+            let (sender, receiver) = mpsc::channel::<(SchemeReport, Duration)>();
+            let spawn_wave = |wave_launches: std::ops::Range<usize>, wave: &'static str| {
+                for index in wave_launches {
+                    let sender = sender.clone();
+                    let ctx = obs::trace::current_context();
+                    // The receiver only disappears once the scope ends, but
+                    // be tolerant anyway: a worker must never panic on send.
+                    scope.spawn(move || {
+                        let _ = sender.send(run_launch(index, ctx, wave));
+                    });
                 }
-                let escalate_at = start + escalate_after;
-                let mut pending = primary;
-                // A dead client must not trigger the escalation wave: the
-                // primaries unwind as inconclusive when the external token
-                // trips, which would otherwise read as an escalation cue.
-                let externally_cancelled = || {
-                    config
-                        .cancel
-                        .as_ref()
-                        .is_some_and(CancelToken::is_cancelled)
-                };
-                loop {
-                    if pending == 0 {
-                        if verdict.is_none() && escalation.is_none() && !externally_cancelled() {
-                            // The primary wave drained inconclusive before
-                            // the stall deadline: the predicted schemes were
-                            // incapable, not slow.
-                            escalation = Some(EscalationReason::InconclusiveDrain);
-                            obs::metrics::incr(obs::metrics::PF_ESCALATIONS_DRAIN);
-                            obs::trace::event(
-                                "race.escalate",
-                                &[
-                                    (
-                                        "reason",
-                                        EscalationReason::InconclusiveDrain.as_str().into(),
-                                    ),
-                                    ("reserve", ((launches.len() - primary) as u64).into()),
-                                ],
-                            );
-                            for index in primary..launches.len() {
-                                spawn_scheme(index, "reserve");
-                            }
-                            pending = launches.len() - primary;
-                            continue;
-                        }
+            };
+
+            // A plan without a reserve keeps no stall clock, so the
+            // calling thread runs the favourite (launch 0) itself once its
+            // competitors are spawned: on an oversubscribed host a thread
+            // that is already running reaches the verdict first, where a
+            // freshly spawned one queues behind every other racer.
+            let inline = usize::from(plan.reserve.is_empty());
+            spawn_wave(inline..primary, "primary");
+            if inline == 1 {
+                let (report, finished_at) = run_launch(0, obs::trace::current_context(), "inline");
+                tally.note(report, finished_at);
+            }
+            // Every worker sends exactly one report (panics are caught
+            // inside the launch body), so collect by count — the collector
+            // keeps a sender alive, so disconnection never signals the end.
+            let mut pending = primary - inline;
+            loop {
+                // The reserve is still held back and worth launching: no
+                // verdict yet and the client is still there.
+                let held_back = escalation.is_none()
+                    && primary < launches.len()
+                    && tally.verdict.is_none()
+                    && !externally_cancelled();
+                let reason = if pending == 0 {
+                    if !held_back {
                         break;
                     }
-                    let message =
-                        if escalation.is_some() || verdict.is_some() || externally_cancelled() {
-                            // Nothing left to escalate (or the client walked away
-                            // mid-wave — the workers are already unwinding): just
-                            // drain the remaining reports.
-                            receiver.recv().ok()
-                        } else {
-                            match receiver
-                                .recv_timeout(escalate_at.saturating_duration_since(Instant::now()))
-                            {
-                                Ok(message) => Some(message),
-                                Err(mpsc::RecvTimeoutError::Timeout) => {
-                                    // Deadline hit with primaries still running:
-                                    // a stall, the classic misprediction.
-                                    escalation = Some(EscalationReason::Stall);
-                                    obs::metrics::incr(obs::metrics::PF_ESCALATIONS_STALL);
-                                    obs::trace::event(
-                                        "race.escalate",
-                                        &[
-                                            ("reason", EscalationReason::Stall.as_str().into()),
-                                            ("reserve", ((launches.len() - primary) as u64).into()),
-                                        ],
-                                    );
-                                    for index in primary..launches.len() {
-                                        spawn_scheme(index, "reserve");
-                                    }
-                                    pending += launches.len() - primary;
-                                    continue;
-                                }
-                                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                            }
-                        };
-                    let Some((report, finished_at)) = message else {
-                        break;
+                    // The primary wave drained inconclusive before the
+                    // stall deadline: the predicted schemes were incapable,
+                    // not slow.
+                    EscalationReason::InconclusiveDrain
+                } else {
+                    let received = match escalate_at.filter(|_| held_back) {
+                        None => receiver
+                            .recv()
+                            .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+                        Some(at) => {
+                            receiver.recv_timeout(at.saturating_duration_since(Instant::now()))
+                        }
                     };
-                    pending -= 1;
-                    note(
-                        report,
-                        finished_at,
-                        &mut verdict,
-                        &mut winner,
-                        &mut time_to_verdict,
-                        &mut reports,
-                    );
-                }
+                    match received {
+                        Ok((report, finished_at)) => {
+                            pending -= 1;
+                            tally.note(report, finished_at);
+                            continue;
+                        }
+                        // Deadline hit with primaries still running: a
+                        // stall, the classic misprediction.
+                        Err(mpsc::RecvTimeoutError::Timeout) => EscalationReason::Stall,
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                    }
+                };
+                escalation = Some(reason);
+                obs::metrics::incr(match reason {
+                    EscalationReason::Stall => obs::metrics::PF_ESCALATIONS_STALL,
+                    EscalationReason::InconclusiveDrain => obs::metrics::PF_ESCALATIONS_DRAIN,
+                });
+                obs::trace::event(
+                    "race.escalate",
+                    &[
+                        ("reason", reason.as_str().into()),
+                        ("reserve", ((launches.len() - primary) as u64).into()),
+                    ],
+                );
+                spawn_wave(primary..launches.len(), "reserve");
+                pending += launches.len() - primary;
             }
-        }
-    });
-
-    // Refutation precedence: when the fixed-input scheme won with its weaker
-    // all-zeros-input equivalence claim but a functional scheme *also*
-    // finished and proved the circuits differ, the refutation stands (the
-    // time to the first verdict is kept as the race telemetry).
-    if winner == Some(Scheme::FixedInput)
-        && verdict
-            .map(Equivalence::considered_equivalent)
-            .unwrap_or(false)
-    {
-        if let Some(refutation) = reports.iter().find(|r| {
-            r.scheme != Scheme::FixedInput && r.verdict == Some(Equivalence::NotEquivalent)
-        }) {
-            verdict = refutation.verdict;
-            winner = Some(refutation.scheme);
-        }
+        });
     }
 
-    let mut result = combine(start, reports, verdict, winner, time_to_verdict);
+    let mut result = tally.finish(start);
     result.predicted = plan.predicted;
     result.escalation = escalation;
     finish_race(race_span, &result);
@@ -780,6 +662,105 @@ fn finish_race(span: obs::trace::Span, result: &PortfolioResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::ScheduledScheme;
+    use crate::telemetry::PairFeatures;
+    use qcec::Strategy;
+
+    /// A hand-built predicted plan for `pair`: `primary` launches first,
+    /// `reserve` on escalation after `escalate_after`.
+    fn predicted_plan(
+        pair: (&QuantumCircuit, &QuantumCircuit),
+        primary: &[Scheme],
+        reserve: &[Scheme],
+        escalate_after: Duration,
+    ) -> SchedulePlan {
+        let scheduled = |schemes: &[Scheme]| {
+            schemes
+                .iter()
+                .map(|&scheme| ScheduledScheme {
+                    scheme,
+                    gc_hint: None,
+                })
+                .collect()
+        };
+        SchedulePlan {
+            features: PairFeatures::extract(pair.0, pair.1),
+            sequential: false,
+            primary: scheduled(primary),
+            reserve: scheduled(reserve),
+            escalate_after: Some(escalate_after),
+            predicted: true,
+        }
+    }
+
+    #[test]
+    fn stalled_primary_wave_escalates_on_the_deadline() {
+        // A zero stall deadline forces the stall path: the collector times
+        // out before the primary scheme can report, the reserve launches,
+        // and the verdict must still be conclusive and correct.
+        let left = algorithms::qft::qft_static(10, None, true);
+        let right = algorithms::qft::qft_dynamic(10);
+        let plan = predicted_plan(
+            (&left, &right),
+            &[Scheme::DynamicFunctional(Strategy::Reference)],
+            &[Scheme::DynamicFunctional(Strategy::Proportional)],
+            Duration::ZERO,
+        );
+        let result = execute_plan(&left, &right, &PortfolioConfig::default(), &plan);
+        assert!(result.predicted);
+        assert_eq!(result.escalation, Some(EscalationReason::Stall));
+        assert!(
+            result.verdict.considered_equivalent(),
+            "verdict {:?} via {:?}",
+            result.verdict,
+            result.winner
+        );
+        assert_eq!(result.schemes.len(), 2, "both waves report");
+    }
+
+    #[test]
+    fn drained_primary_wave_escalates_inconclusively() {
+        // The single primary scheme, the fixed-input extraction, fails
+        // deterministically on a 1-leaf budget long before the 60 s stall
+        // deadline. The wave drains without a verdict, so the reserve (a
+        // reconstruction scheme, which ignores the leaf budget) must launch
+        // at once and prove equivalence, and the reason must say the
+        // prediction was incapable, not slow.
+        let left = algorithms::qft::qft_static(10, None, true);
+        let right = algorithms::qft::qft_dynamic(10);
+        let plan = predicted_plan(
+            (&left, &right),
+            &[Scheme::FixedInput],
+            &[Scheme::DynamicFunctional(Strategy::Proportional)],
+            Duration::from_secs(60),
+        );
+        let config = PortfolioConfig {
+            leaf_limit: Some(1),
+            ..PortfolioConfig::default()
+        };
+        let result = execute_plan(&left, &right, &config, &plan);
+        assert_eq!(
+            result.escalation,
+            Some(EscalationReason::InconclusiveDrain),
+            "{:#?}",
+            result.schemes
+        );
+        assert!(result.verdict.considered_equivalent());
+        assert_eq!(
+            result.winner,
+            Some(Scheme::DynamicFunctional(Strategy::Proportional))
+        );
+        let fixed = &result.schemes[0];
+        assert_eq!(fixed.scheme, Scheme::FixedInput);
+        assert!(
+            fixed.error.is_some(),
+            "the leaf budget must trip: {fixed:?}"
+        );
+        assert!(
+            result.total_time < Duration::from_secs(60),
+            "the reserve must not wait for the stall deadline"
+        );
+    }
 
     #[test]
     fn panicking_scheme_is_reported_as_failed() {

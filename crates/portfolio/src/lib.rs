@@ -9,32 +9,33 @@
 //!
 //! * **[`scheme`] — the registry.** Every scheme is a
 //!   [`SchemeDescriptor`](scheme::SchemeDescriptor): a static name, an
-//!   applicability predicate over the circuit pair, static cost features
-//!   and a runner function. The engine and scheduler are generic over
-//!   registry entries; adding a scheme means adding one descriptor.
+//!   applicability predicate over the circuit pair and static cost
+//!   features; [`scheme::run`] is the body of each scheme family. The
+//!   engine and scheduler are generic over registry entries.
 //! * **[`scheduler`] — the policy.** [`scheduler::plan`] turns a circuit
-//!   pair, a [`SchedulePolicy`] and recorded telemetry into a launch plan.
-//!   [`SchedulePolicy::Race`] (the default, and the paper's proposal)
-//!   launches every applicable scheme at once — first conclusive verdict
-//!   wins, a shared [`CancelToken`](dd::CancelToken) unwinds the losers.
-//!   [`SchedulePolicy::Predicted`] launches only the top-`k` schemes the
-//!   telemetry predicts for the pair's feature bucket and escalates to the
-//!   full portfolio on stall or an inconclusive primary wave; with no
-//!   recorded stats it degrades to the exact race plan. The tiny-instance
-//!   sequential fast path is a plan shape, not an engine special case.
+//!   pair and, optionally, recorded telemetry into a launch plan. There is
+//!   one policy: without stats for the pair's feature bucket it launches
+//!   every applicable scheme at once (the paper's proposal) — first
+//!   conclusive verdict wins, a shared [`CancelToken`](dd::CancelToken)
+//!   unwinds the losers. With stats it launches only the two schemes the
+//!   telemetry predicts and escalates to the full portfolio on stall or an
+//!   inconclusive primary wave. The tiny-instance sequential fast path is a
+//!   plan shape, not an engine special case.
 //! * **[`telemetry`] — the memory.** Every [`SchemeReport`] folds into
 //!   per-(scheme, feature-bucket) running stats
 //!   ([`telemetry::TelemetryStore`]) that serialize to JSON and are
-//!   loaded/merged/saved across batch runs (`verify --stats-file`,
-//!   [`batch::BatchOptions::stats`]). The same stats drive per-scheme
+//!   loaded and saved across runs — only when a stats file is named
+//!   (`verify`/`verifyd --stats-file`, [`service::ServiceConfig::stats`]);
+//!   without one nothing is recorded and every plan is a race. The same
+//!   stats drive per-scheme
 //!   garbage-collection budget hints
 //!   ([`ScheduledScheme::gc_hint`](scheduler::ScheduledScheme::gc_hint)),
 //!   threaded through [`qcec::Configuration`] into the decision-diagram
 //!   [`MemoryConfig`](dd::MemoryConfig).
 //!
-//! [`verify_portfolio`] executes a plan for one pair;
-//! [`verify_portfolio_recorded`] additionally reads and feeds a telemetry
-//! store. The [`service`] module wraps the engine in a long-lived
+//! [`verify_portfolio`] executes a race plan for one pair;
+//! [`verify_portfolio_recorded`] additionally plans against and feeds a
+//! telemetry store. The [`service`] module wraps the engine in a long-lived
 //! [`VerificationService`](service::VerificationService); the [`batch`]
 //! module (whole workloads from a JSON manifest or a directory of QASM
 //! pairs, machine-readable JSON report) and the `verifyd` daemon are its
@@ -51,15 +52,17 @@
 //!                                   │  per-request deadline/node budgets
 //!                                   │  CancelToken per request (a dropped
 //!                                   │  client kills its in-flight race)
+//!                                   │  TelemetryStore, only with a stats
+//!                                   │  file: loaded at start, saved on drain
 //!                                   ▼
-//!                       engine::verify_portfolio_recorded
-//!                       folded TelemetryStore · obs
+//!                       engine::verify_portfolio_recorded · obs
 //! ```
 //!
 //! The service owns the state that makes a *resident* checker worth
-//! running: the continuously folded [`TelemetryStore`] driving the
-//! predictive scheduler, and the process-global `obs` substrate (each
-//! response carries the metrics delta folded around its race).
+//! running: the [`TelemetryStore`] driving the predictive scheduler, kept
+//! only when [`service::ServiceConfig::stats`] names a file to persist it
+//! to, and the process-global `obs` substrate (each response carries the
+//! metrics delta folded around its race).
 //! [`service::VerificationService::submit`] applies admission control — beyond `workers + max_queue` admitted
 //! requests it rejects with a structured reason instead of queueing
 //! unboundedly — and returns a handle whose *drop* cancels the request:
@@ -138,7 +141,7 @@
 //! allocated. Point events: `scheme.launch` (wave: inline / primary /
 //! reserve / sequential), `race.verdict` (one per winner improvement),
 //! `race.cancel`, `race.escalate` (with the [`EscalationReason`]),
-//! `chain.step`, `telemetry.fold`.
+//! `chain.step`, and `telemetry.fold` (only when a stats file is kept).
 //!
 //! The portfolio metric catalogue — each entry's caveat states what the
 //! bare number misleads about:
@@ -222,7 +225,6 @@ pub use engine::{
     applicable_schemes, run_scheme, verify_portfolio, verify_portfolio_recorded, EscalationReason,
     PortfolioConfig, PortfolioResult, SchemeReport, SharedStoreReport,
 };
-pub use scheduler::SchedulePolicy;
 pub use scheme::Scheme;
 pub use telemetry::{PairFeatures, TelemetryStore};
 
@@ -245,15 +247,4 @@ pub fn deadline_flag(value: String) -> Result<std::time::Duration, String> {
         .filter(|&seconds| seconds > 0.0)
         .and_then(|seconds| std::time::Duration::try_from_secs_f64(seconds).ok())
         .ok_or_else(|| format!("--deadline must be a positive number of seconds, got `{value}`"))
-}
-
-/// Parses the `--policy race|predicted` value of both front-ends.
-pub fn policy_flag(value: String) -> Result<SchedulePolicy, String> {
-    match value.as_str() {
-        "race" => Ok(SchedulePolicy::Race),
-        "predicted" => Ok(SchedulePolicy::predicted()),
-        _ => Err(format!(
-            "--policy must be `race` or `predicted`, got `{value}`"
-        )),
-    }
 }

@@ -1,5 +1,5 @@
-//! The adaptive scheduler: turns a circuit pair, a policy and recorded
-//! telemetry into a launch plan.
+//! The adaptive scheduler: turns a circuit pair and recorded telemetry
+//! into a launch plan.
 //!
 //! This module is the single place where portfolio *policy* lives. The
 //! engine executes whatever [`SchedulePlan`] it is handed; the plan decides
@@ -12,15 +12,14 @@
 //! * a per-scheme garbage-collection threshold hint derived from recorded
 //!   peak-node telemetry ([`ScheduledScheme::gc_hint`]).
 //!
-//! Under [`SchedulePolicy::Race`] — the default, and the paper's original
-//! proposal — every applicable scheme launches at once in the registry's
-//! race order. Under [`SchedulePolicy::Predicted`] the scheduler scores
-//! each applicable scheme against the [`TelemetryStore`] stats of the
-//! pair's [feature bucket](crate::telemetry::FeatureBucket) and launches
-//! only the top-`k` predicted winners, escalating to the full portfolio when
-//! the primary wave stalls or finishes inconclusively. **With no recorded
-//! stats for the bucket the predicted plan degrades to the exact race-
-//! everything plan**, so a cold stats file never changes behaviour.
+//! There is one policy, and one fact decides what it plans: whether the
+//! [`TelemetryStore`] handed to [`plan`] holds stats for the pair's
+//! [feature bucket](crate::telemetry::FeatureBucket). Without a store, or
+//! with a cold bucket, every applicable scheme launches at once in the
+//! registry's race order — the paper's proposal. With stats, the scheduler
+//! scores each applicable scheme and launches only the top two predicted
+//! winners, escalating to the rest of the portfolio when the primary wave
+//! stalls for two seconds or finishes inconclusively.
 
 use crate::engine::PortfolioConfig;
 use crate::scheme::{applicable_descriptors, Scheme, SchemeDescriptor};
@@ -29,36 +28,14 @@ use circuit::QuantumCircuit;
 use dd::DEFAULT_GC_THRESHOLD;
 use std::time::Duration;
 
-/// How the portfolio launches the applicable schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Launch every applicable scheme at once (the paper's proposal and the
-    /// default): first conclusive verdict wins, losers are cancelled.
-    #[default]
-    Race,
-    /// Launch only the `k` schemes the recorded telemetry predicts to win,
-    /// escalating to the rest of the portfolio when no conclusive verdict
-    /// has arrived after `escalate_after` (or when every launched scheme
-    /// finished inconclusively before that). Degrades to [`Race`](Self::Race)
-    /// when the telemetry holds no stats for the pair's feature bucket.
-    Predicted {
-        /// Predicted winners to launch up front (at least 1).
-        k: usize,
-        /// Stall deadline before the reserve wave launches.
-        escalate_after: Duration,
-    },
-}
+/// Predicted winners a warm plan launches up front. Two always include a
+/// scheme that can prove equivalence: the simulative check is the only one
+/// that cannot, and every applicable set has at least four schemes.
+const PRIMARY_WAVE: usize = 2;
 
-impl SchedulePolicy {
-    /// The default predicted policy (`k = 2`, escalate after 2 s) — what
-    /// `verify --stats-file` switches to.
-    pub fn predicted() -> Self {
-        SchedulePolicy::Predicted {
-            k: 2,
-            escalate_after: Duration::from_secs(2),
-        }
-    }
-}
+/// How long a predicted primary wave may run without a conclusive verdict
+/// before the reserve launches.
+const STALL_AFTER: Duration = Duration::from_secs(2);
 
 /// One scheme launch of a plan: the scheme plus the scheduler's per-scheme
 /// memory hint.
@@ -82,17 +59,16 @@ pub struct SchedulePlan {
     /// instead of racing threads — chosen for tiny instances, where a
     /// thread spawn costs more than the whole verification.
     pub sequential: bool,
-    /// Schemes launched immediately, in launch order (index 0 is the race's
-    /// inline favourite).
+    /// Schemes launched immediately, in launch order (index 0 is the
+    /// heuristic or predicted favourite).
     pub primary: Vec<ScheduledScheme>,
-    /// Schemes held back for escalation (empty under [`SchedulePolicy::Race`]).
+    /// Schemes held back for escalation (empty for a race plan).
     pub reserve: Vec<ScheduledScheme>,
     /// How long to wait for a conclusive verdict before launching the
     /// reserve (`None` when there is no reserve).
     pub escalate_after: Option<Duration>,
-    /// Whether recorded telemetry actually steered this plan (`false` for
-    /// race plans and for predicted plans that degraded to racing on a cold
-    /// bucket).
+    /// Whether recorded telemetry steered this plan (`false` for race
+    /// plans, including those planned against a cold bucket).
     pub predicted: bool,
 }
 
@@ -134,7 +110,8 @@ fn gc_hint(stats: &crate::telemetry::SchemeStats) -> Option<usize> {
     Some(target.clamp(1 << 14, DEFAULT_GC_THRESHOLD))
 }
 
-/// Builds the launch plan for a circuit pair.
+/// Builds the launch plan for a circuit pair: the race plan, unless
+/// `telemetry` holds stats for the pair's bucket.
 ///
 /// With explicit [`PortfolioConfig::schemes`] the caller has already decided
 /// what to run: the plan races exactly that list (threaded, in list order),
@@ -162,7 +139,7 @@ pub fn plan(
     let bucket = features.bucket();
     // Score each candidate against the bucket's recorded stats. A bucket
     // no candidate has stats for means the telemetry cannot rank anything:
-    // the predicted policy then degrades to the exact race plan.
+    // the plan is then the exact race plan.
     let scored: Vec<(&SchemeDescriptor, Option<&crate::telemetry::SchemeStats>)> = candidates
         .iter()
         .map(|descriptor| {
@@ -174,101 +151,69 @@ pub fn plan(
         .collect();
     let have_stats = scored.iter().any(|(_, stats)| stats.is_some());
 
-    let race_plan = |sequential: bool| {
-        let mut order: Vec<&SchemeDescriptor> = candidates.clone();
-        if sequential {
+    if !have_stats {
+        let mut order = candidates;
+        if tiny {
             order.sort_by_key(|descriptor| descriptor.sequential_rank);
         }
-        SchedulePlan {
+        return SchedulePlan {
             features,
-            sequential,
+            sequential: tiny,
             primary: unhinted(order.iter().map(|descriptor| descriptor.scheme)),
             reserve: Vec::new(),
             escalate_after: None,
             predicted: false,
-        }
-    };
-
-    match config.policy {
-        SchedulePolicy::Race => race_plan(tiny),
-        SchedulePolicy::Predicted { .. } if !have_stats => race_plan(tiny),
-        SchedulePolicy::Predicted { k, escalate_after } => {
-            // Deterministic ranking: recorded score descending; schemes
-            // without stats score lowest; ties (including all-missing)
-            // break by static cost, then race rank.
-            let mut ranked = scored;
-            ranked.sort_by(|(a, a_stats), (b, b_stats)| {
-                let a_score = a_stats.map(|s| s.score()).unwrap_or(f64::NEG_INFINITY);
-                let b_score = b_stats.map(|s| s.score()).unwrap_or(f64::NEG_INFINITY);
-                b_score
-                    .partial_cmp(&a_score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(
-                        a.cost
-                            .relative_cost
-                            .partial_cmp(&b.cost.relative_cost)
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                    .then(a.race_rank.cmp(&b.race_rank))
-            });
-            let hinted: Vec<ScheduledScheme> = ranked
-                .iter()
-                .map(|(descriptor, stats)| ScheduledScheme {
-                    scheme: descriptor.scheme,
-                    gc_hint: stats.and_then(gc_hint),
-                })
-                .collect();
-            if tiny {
-                // Sequential trying already stops at the first conclusive
-                // verdict; prediction just orders the attempts by expected
-                // merit. No reserve wave — the loop *is* the escalation.
-                return SchedulePlan {
-                    features,
-                    sequential: true,
-                    primary: hinted,
-                    reserve: Vec::new(),
-                    escalate_after: None,
-                    predicted: true,
-                };
-            }
-            let k = k.max(1).min(hinted.len());
-            let mut primary: Vec<ScheduledScheme> = hinted[..k].to_vec();
-            let mut reserve: Vec<ScheduledScheme> = hinted[k..].to_vec();
-            // A primary wave of only non-proving schemes (e.g. the
-            // simulative check, which refutes conclusively but can never
-            // *prove* equivalence) would guarantee an escalation on every
-            // equivalent pair. Extend the wave with the best-ranked proving
-            // scheme so one conclusive-capable scheme always launches up
-            // front.
-            let proves =
-                |scheduled: &ScheduledScheme| scheduled.scheme.descriptor().cost.proves_equivalence;
-            if !primary.iter().any(proves) {
-                if let Some(position) = reserve.iter().position(proves) {
-                    let promoted = reserve.remove(position);
-                    primary.push(promoted);
-                }
-            }
-            // The reserve escalates in race order — by that point the
-            // prediction has already been wrong once.
-            reserve.sort_by_key(|scheduled| scheduled.scheme.descriptor().race_rank);
-            SchedulePlan {
-                features,
-                sequential: false,
-                primary,
-                escalate_after: (!reserve.is_empty()).then_some(escalate_after),
-                reserve,
-                predicted: true,
-            }
-        }
+        };
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_policy_is_race() {
-        assert_eq!(SchedulePolicy::default(), SchedulePolicy::Race);
+    // Deterministic ranking: recorded score descending; schemes without
+    // stats score lowest; ties (including all-missing) break by static
+    // cost, then race rank.
+    let mut ranked = scored;
+    ranked.sort_by(|(a, a_stats), (b, b_stats)| {
+        let a_score = a_stats.map(|s| s.score()).unwrap_or(f64::NEG_INFINITY);
+        let b_score = b_stats.map(|s| s.score()).unwrap_or(f64::NEG_INFINITY);
+        b_score
+            .partial_cmp(&a_score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(
+                a.cost
+                    .relative_cost
+                    .partial_cmp(&b.cost.relative_cost)
+                    .unwrap_or(std::cmp::Ordering::Equal),
+            )
+            .then(a.race_rank.cmp(&b.race_rank))
+    });
+    let mut hinted: Vec<ScheduledScheme> = ranked
+        .iter()
+        .map(|(descriptor, stats)| ScheduledScheme {
+            scheme: descriptor.scheme,
+            gc_hint: stats.and_then(gc_hint),
+        })
+        .collect();
+    if tiny {
+        // Sequential trying already stops at the first conclusive verdict;
+        // prediction just orders the attempts by expected merit. No reserve
+        // wave — the loop *is* the escalation.
+        return SchedulePlan {
+            features,
+            sequential: true,
+            primary: hinted,
+            reserve: Vec::new(),
+            escalate_after: None,
+            predicted: true,
+        };
+    }
+    let mut reserve = hinted.split_off(PRIMARY_WAVE.min(hinted.len()));
+    // The reserve escalates in race order — by that point the prediction
+    // has already been wrong once.
+    reserve.sort_by_key(|scheduled| scheduled.scheme.descriptor().race_rank);
+    SchedulePlan {
+        features,
+        sequential: false,
+        primary: hinted,
+        escalate_after: (!reserve.is_empty()).then_some(STALL_AFTER),
+        reserve,
+        predicted: true,
     }
 }

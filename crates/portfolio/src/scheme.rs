@@ -1,25 +1,23 @@
 //! The scheme registry: one [`SchemeDescriptor`] per verification scheme.
 //!
-//! PRs 1–4 grew the engine around a hardcoded [`Scheme`] enum whose
-//! behaviour was scattered over `match` arms — applicability, display
-//! names, launch ordering and the scheme bodies each lived in their own
-//! list. This module replaces all of that with a flat **registry**: every
-//! scheme is a descriptor carrying
+//! The [`Scheme`] enum is a scheme's identity; its **registry** entry
+//! carries
 //!
 //! * a stable [`&'static str` name](SchemeDescriptor::name) (formatted once,
-//!   at compile time — reports no longer allocate a `String` per lookup),
+//!   at compile time — reports do not allocate a `String` per lookup),
 //! * an [applicability predicate](SchemeDescriptor::applicable) over the
-//!   circuit pair,
+//!   circuit pair, and
 //! * static cost features ([`CostProfile`]) and the heuristic launch ranks
-//!   the racing/sequential orders are derived from, and
-//! * a [runner](SchemeDescriptor::runner) — a plain function pointer that
-//!   executes the scheme under a budget on private decision-diagram
-//!   packages.
+//!   the racing/sequential orders are derived from.
+//!
+//! [`run`] executes a scheme under a budget on private decision-diagram
+//! packages: one body per scheme family, parameterised by the gate
+//! schedule ([`Strategy`]) where the family has one.
 //!
 //! The engine is a launcher over registry entries; the
 //! [scheduler](crate::scheduler) decides *which* entries to launch and in
-//! what order. Adding a scheme means adding one descriptor here — no engine
-//! changes.
+//! what order. Adding a scheme means adding one descriptor here and one
+//! arm to [`run`] — no engine changes.
 
 use crate::engine::PortfolioConfig;
 use circuit::QuantumCircuit;
@@ -35,8 +33,8 @@ use sim::SimError;
 ///
 /// The enum is the scheme's *identity* — it names the scheme in reports,
 /// JSON and telemetry keys. Everything behavioural (applicability, cost
-/// features, the runner) lives in the scheme's [`SchemeDescriptor`],
-/// obtained via [`Scheme::descriptor`].
+/// features, launch ranks) lives in the scheme's [`SchemeDescriptor`],
+/// obtained via [`Scheme::descriptor`], and its body in [`run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Scheme {
     /// Miter-based functional equivalence of unitary circuits with the given
@@ -103,22 +101,10 @@ pub struct SchemeOutcome {
     pub memory: Option<MemoryStats>,
 }
 
-/// The runner signature every registry entry provides: execute the scheme on
-/// a circuit pair under `budget`.
-pub type SchemeRunner =
-    fn(&QuantumCircuit, &QuantumCircuit, &PortfolioConfig, &Budget) -> SchemeOutcome;
-
 /// Static cost features of a scheme, available without any recorded
-/// telemetry. The scheduler uses them to break ties and to reason about
-/// what a scheme *can* conclude.
+/// telemetry. The scheduler uses them to break ties between predictions.
 #[derive(Debug, Clone, Copy)]
 pub struct CostProfile {
-    /// Whether the scheme can produce a *conclusive* equivalence verdict.
-    /// The simulative check cannot (it only refutes conclusively), so the
-    /// scheduler extends any predicted primary wave that would otherwise
-    /// consist solely of non-proving schemes — alone they could never
-    /// settle an equivalent pair.
-    pub proves_equivalence: bool,
     /// Relative prior cost on a typical instance (1.0 = a plain miter
     /// pass). Used only as a deterministic tie-break between schemes with
     /// identical recorded scores.
@@ -136,14 +122,12 @@ pub struct SchemeDescriptor {
     /// Whether the scheme applies to the given circuit pair.
     pub applicable: fn(&QuantumCircuit, &QuantumCircuit) -> bool,
     /// Position in the threaded race launch order (0 = the heuristic
-    /// favourite, run inline on the calling thread).
+    /// favourite, spawned first).
     pub race_rank: u8,
     /// Position in the tiny-instance sequential try order.
     pub sequential_rank: u8,
     /// Static cost features.
     pub cost: CostProfile,
-    /// The scheme body.
-    pub runner: SchemeRunner,
 }
 
 fn static_pair(left: &QuantumCircuit, right: &QuantumCircuit) -> bool {
@@ -169,11 +153,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: static_pair,
         race_rank: 0,
         sequential_rank: 0,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.0,
-        },
-        runner: run_functional_proportional,
+        cost: CostProfile { relative_cost: 1.0 },
     },
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::Aligned),
@@ -182,7 +162,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         race_rank: 1,
         sequential_rank: 1,
         cost: CostProfile {
-            proves_equivalence: true,
             // Near-free on insertion-aligned pairs (routing steps), but on a
             // typical unrelated pair it degrades to a proportional pass plus
             // pointer bookkeeping — so its *prior* sits just above the plain
@@ -190,7 +169,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
             // insertion-pair advantage per bucket.
             relative_cost: 1.1,
         },
-        runner: run_functional_aligned,
     },
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::OneToOne),
@@ -198,11 +176,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: static_pair,
         race_rank: 2,
         sequential_rank: 2,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.2,
-        },
-        runner: run_functional_one_to_one,
+        cost: CostProfile { relative_cost: 1.2 },
     },
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::Reference),
@@ -210,11 +184,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: static_pair,
         race_rank: 3,
         sequential_rank: 3,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 2.0,
-        },
-        runner: run_functional_reference,
+        cost: CostProfile { relative_cost: 2.0 },
     },
     SchemeDescriptor {
         scheme: Scheme::Simulative,
@@ -222,11 +192,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: static_pair,
         race_rank: 4,
         sequential_rank: 4,
-        cost: CostProfile {
-            proves_equivalence: false,
-            relative_cost: 0.8,
-        },
-        runner: run_simulative,
+        cost: CostProfile { relative_cost: 0.8 },
     },
     SchemeDescriptor {
         scheme: Scheme::FixedInput,
@@ -234,11 +200,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: dynamic_pair,
         race_rank: 0,
         sequential_rank: 1,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 0.9,
-        },
-        runner: run_fixed_input,
+        cost: CostProfile { relative_cost: 0.9 },
     },
     SchemeDescriptor {
         scheme: Scheme::DynamicFunctional(Strategy::Proportional),
@@ -246,11 +208,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: dynamic_pair,
         race_rank: 1,
         sequential_rank: 0,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.0,
-        },
-        runner: run_dynamic_proportional,
+        cost: CostProfile { relative_cost: 1.0 },
     },
     SchemeDescriptor {
         scheme: Scheme::DynamicFunctional(Strategy::OneToOne),
@@ -258,11 +216,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: dynamic_pair,
         race_rank: 2,
         sequential_rank: 2,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.2,
-        },
-        runner: run_dynamic_one_to_one,
+        cost: CostProfile { relative_cost: 1.2 },
     },
     SchemeDescriptor {
         scheme: Scheme::DynamicFunctional(Strategy::Reference),
@@ -270,11 +224,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         applicable: dynamic_pair,
         race_rank: 3,
         sequential_rank: 3,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 2.0,
-        },
-        runner: run_dynamic_reference,
+        cost: CostProfile { relative_cost: 2.0 },
     },
 ];
 
@@ -301,6 +251,25 @@ pub fn applicable_descriptors(
 // Scheme bodies
 // ---------------------------------------------------------------------------
 
+/// Runs `scheme` on a circuit pair under `budget`: the scheme body the
+/// engine wraps with timing and cancellation.
+pub fn run(
+    scheme: Scheme,
+    left: &QuantumCircuit,
+    right: &QuantumCircuit,
+    config: &PortfolioConfig,
+    budget: &Budget,
+) -> SchemeOutcome {
+    match scheme {
+        Scheme::Functional(strategy) => run_functional(strategy, left, right, config, budget),
+        Scheme::Simulative => run_simulative(left, right, config, budget),
+        Scheme::DynamicFunctional(strategy) => {
+            run_dynamic_functional(strategy, left, right, config, budget)
+        }
+        Scheme::FixedInput => run_fixed_input(left, right, config, budget),
+    }
+}
+
 fn run_functional(
     strategy: Strategy,
     left: &QuantumCircuit,
@@ -322,42 +291,6 @@ fn run_functional(
         },
         Err(error) => classify_check_error(error),
     }
-}
-
-fn run_functional_proportional(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> SchemeOutcome {
-    run_functional(Strategy::Proportional, left, right, config, budget)
-}
-
-fn run_functional_aligned(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> SchemeOutcome {
-    run_functional(Strategy::Aligned, left, right, config, budget)
-}
-
-fn run_functional_one_to_one(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> SchemeOutcome {
-    run_functional(Strategy::OneToOne, left, right, config, budget)
-}
-
-fn run_functional_reference(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> SchemeOutcome {
-    run_functional(Strategy::Reference, left, right, config, budget)
 }
 
 fn run_simulative(
@@ -399,33 +332,6 @@ fn run_dynamic_functional(
         },
         Err(error) => classify_dynamic_error(error),
     }
-}
-
-fn run_dynamic_proportional(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::Proportional, left, right, config, budget)
-}
-
-fn run_dynamic_one_to_one(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::OneToOne, left, right, config, budget)
-}
-
-fn run_dynamic_reference(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::Reference, left, right, config, budget)
 }
 
 fn run_fixed_input(

@@ -3,9 +3,12 @@
 //! The batch driver ([`crate::batch`]) and the `verifyd` daemon are both
 //! thin front-ends over the [`VerificationService`] defined here: a worker
 //! pool plus the long-lived state that makes a *resident* checker worth
-//! running — a continuously-folded [`TelemetryStore`] feeding the
-//! predictive scheduler, and the process-global `obs` observability
-//! substrate (per-request metric deltas, leasable JSONL trace sink).
+//! running — the [`TelemetryStore`] feeding the predictive scheduler, and
+//! the process-global `obs` observability substrate (per-request metric
+//! deltas, leasable JSONL trace sink). The service keeps a telemetry store
+//! only when [`ServiceConfig::stats`] names a file: it is loaded at start,
+//! folded with every race and saved on drain. Without a file nothing is
+//! recorded and every pair is planned as a race.
 //! Decision-diagram state is *not* resident: every race builds its
 //! diagrams in fresh private packages and drops them when it ends.
 //!
@@ -20,9 +23,8 @@
 //! [`dd::Budget::with_parent_token`]), so a disconnected client's in-flight
 //! race unwinds within a few hundred node allocations.
 //! [`drain`](VerificationService::drain) stops admission, finishes
-//! everything already admitted, joins the workers and hands the folded
-//! telemetry back (saving it crash-safely first when
-//! [`ServiceConfig::stats`] is set).
+//! everything already admitted, joins the workers and saves the folded
+//! telemetry crash-safely when [`ServiceConfig::stats`] is set.
 //!
 //! # Admission control
 //!
@@ -163,8 +165,10 @@ pub struct ServiceConfig {
     pub max_queue: usize,
     /// Persistent telemetry file: loaded at start (missing file = cold
     /// start; unreadable/malformed = warn, run cold and *never* save over
-    /// it), folded continuously while the service runs, saved back
-    /// crash-safely on [`drain`](VerificationService::drain).
+    /// it), folded with every race while the service runs, saved back
+    /// crash-safely on [`drain`](VerificationService::drain). The scheduler
+    /// predicts for the buckets the file has stats for. `None` keeps no
+    /// telemetry at all: every pair is planned as a race.
     pub stats: Option<PathBuf>,
 }
 
@@ -454,7 +458,8 @@ pub struct ServiceStats {
     /// Always 0: no decision-diagram store outlives its race any more.
     /// Kept because the benchmark harness reads it.
     pub warm_checkouts: usize,
-    /// Races recorded into the in-memory telemetry store since start.
+    /// Races recorded into the telemetry store since start (always 0
+    /// without a stats file).
     pub telemetry_races: u64,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
@@ -474,16 +479,85 @@ struct ServiceShared {
     state: Mutex<QueueState>,
     work_ready: Condvar,
     idle: Condvar,
-    telemetry: Mutex<TelemetryStore>,
-    telemetry_base_races: u64,
-    stats_path: Option<PathBuf>,
-    stats_load_failed: bool,
+    stats: Option<PersistedStats>,
     trace_leased: AtomicBool,
     submitted: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
     next_id: AtomicU64,
     started: Instant,
+}
+
+/// The telemetry store of a service with a stats file.
+struct PersistedStats {
+    path: PathBuf,
+    store: Mutex<TelemetryStore>,
+    /// Races the file held at start, so `stats` reports this run's alone.
+    base_races: u64,
+    /// The file existed but failed to load: run cold and never save over
+    /// it, since that would destroy the recorded history.
+    load_failed: bool,
+}
+
+impl PersistedStats {
+    fn load(path: PathBuf) -> PersistedStats {
+        let (store, load_failed) = match TelemetryStore::load(&path) {
+            Ok(store) => (store, false),
+            Err(error) => {
+                eprintln!(
+                    "warning: cannot load stats file {}: {error}; running cold \
+                     (and never saving over the damaged file)",
+                    path.display()
+                );
+                (TelemetryStore::new(), true)
+            }
+        };
+        PersistedStats {
+            path,
+            base_races: store.races,
+            store: Mutex::new(store),
+            load_failed,
+        }
+    }
+
+    fn save(&self) {
+        if self.load_failed {
+            eprintln!(
+                "warning: not saving stats to {} — the existing file failed to load and \
+                 saving would overwrite it; repair or remove it first",
+                self.path.display()
+            );
+        } else if let Err(error) = lock(&self.store).save(&self.path) {
+            eprintln!(
+                "warning: cannot save stats file {}: {error}",
+                self.path.display()
+            );
+        }
+    }
+}
+
+impl ServiceShared {
+    /// The store races plan against and fold into, when the service keeps
+    /// one.
+    fn telemetry(&self) -> Option<&Mutex<TelemetryStore>> {
+        self.stats.as_ref().map(|stats| &stats.store)
+    }
+
+    /// The service portfolio defaults with a request's bounds and cancel
+    /// token layered on top.
+    fn portfolio_for(
+        &self,
+        job: &Job,
+        deadline: Option<Duration>,
+        node_limit: Option<usize>,
+    ) -> PortfolioConfig {
+        PortfolioConfig {
+            deadline: deadline.or(self.portfolio.deadline),
+            node_limit: node_limit.or(self.portfolio.node_limit),
+            cancel: Some(job.cancel.clone()),
+            ..self.portfolio.clone()
+        }
+    }
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -500,36 +574,6 @@ impl VerificationService {
     /// Starts the service: loads the persistent telemetry (when
     /// [`ServiceConfig::stats`] is set) and spawns the worker pool.
     pub fn start(config: ServiceConfig) -> VerificationService {
-        let (telemetry, load_failed) = match &config.stats {
-            None => (TelemetryStore::new(), false),
-            Some(path) => match TelemetryStore::load(path) {
-                Ok(store) => (store, false),
-                Err(error) => {
-                    eprintln!(
-                        "warning: cannot load stats file {}: {error}; running cold \
-                         (and never saving over the damaged file)",
-                        path.display()
-                    );
-                    (TelemetryStore::new(), true)
-                }
-            },
-        };
-        Self::start_with(config, telemetry, load_failed)
-    }
-
-    /// [`start`](Self::start) with a caller-provided in-memory telemetry
-    /// store instead of loading from [`ServiceConfig::stats`]. The batch
-    /// front-end uses this to thread its caller's store through a
-    /// short-lived service.
-    pub fn start_seeded(config: ServiceConfig, telemetry: TelemetryStore) -> VerificationService {
-        Self::start_with(config, telemetry, false)
-    }
-
-    fn start_with(
-        config: ServiceConfig,
-        telemetry: TelemetryStore,
-        stats_load_failed: bool,
-    ) -> VerificationService {
         let workers = config.workers.max(1);
         let shared = Arc::new(ServiceShared {
             portfolio: config.portfolio,
@@ -538,10 +582,7 @@ impl VerificationService {
             state: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
-            telemetry_base_races: telemetry.races,
-            telemetry: Mutex::new(telemetry),
-            stats_path: config.stats,
-            stats_load_failed,
+            stats: config.stats.map(PersistedStats::load),
             trace_leased: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -646,9 +687,9 @@ impl VerificationService {
             let state = lock(&shared.state);
             (state.queue.len(), state.inflight, state.draining)
         };
-        let telemetry_races = lock(&shared.telemetry)
-            .races
-            .saturating_sub(shared.telemetry_base_races);
+        let telemetry_races = shared.stats.as_ref().map_or(0, |stats| {
+            lock(&stats.store).races.saturating_sub(stats.base_races)
+        });
         ServiceStats {
             workers: shared.workers,
             capacity: shared.capacity,
@@ -714,10 +755,10 @@ impl VerificationService {
     }
 
     /// Stops admission, finishes every admitted request, joins the workers
-    /// and returns the folded telemetry (after saving it crash-safely to
-    /// [`ServiceConfig::stats`], unless that file had failed to load). A
-    /// second call is a no-op returning an empty store.
-    pub fn drain(&self) -> TelemetryStore {
+    /// and saves the folded telemetry crash-safely to
+    /// [`ServiceConfig::stats`], unless that file had failed to load. A
+    /// second call saves the same store again.
+    pub fn drain(&self) {
         {
             let mut state = lock(&self.shared.state);
             state.draining = true;
@@ -727,28 +768,15 @@ impl VerificationService {
         for handle in handles {
             let _ = handle.join();
         }
-        let store = std::mem::take(&mut *lock(&self.shared.telemetry));
-        if let Some(path) = &self.shared.stats_path {
-            if self.shared.stats_load_failed {
-                eprintln!(
-                    "warning: not saving stats to {} — the existing file failed to load and \
-                     saving would overwrite it; repair or remove it first",
-                    path.display()
-                );
-            } else if let Err(error) = store.save(path) {
-                eprintln!(
-                    "warning: cannot save stats file {}: {error}",
-                    path.display()
-                );
-            }
+        if let Some(stats) = &self.shared.stats {
+            stats.save();
         }
-        store
     }
 
     /// [`drain`](Self::drain), but cancels everything queued or in flight
     /// first, so the service stops as fast as cooperative cancellation
     /// allows instead of finishing the backlog.
-    pub fn shutdown(&self) -> TelemetryStore {
+    pub fn shutdown(&self) {
         {
             let mut state = lock(&self.shared.state);
             state.draining = true;
@@ -761,7 +789,7 @@ impl VerificationService {
         // For ones still waited on, the worker observes `draining` only for
         // admission — their tokens must trip explicitly:
         self.shared.work_ready.notify_all();
-        self.drain()
+        self.drain();
     }
 }
 
@@ -945,18 +973,8 @@ fn execute_inner(
         Err(e) => return failed_pair(spec, name, format!("cannot parse {}: {e}", spec.right)),
     };
 
-    // Layer the per-request bounds and the request token over the service
-    // portfolio defaults.
-    let mut portfolio = shared.portfolio.clone();
-    if let Some(deadline) = request.deadline {
-        portfolio.deadline = Some(deadline);
-    }
-    if let Some(node_limit) = request.node_limit {
-        portfolio.node_limit = Some(node_limit);
-    }
-    portfolio.cancel = Some(job.cancel.clone());
-
-    let result = verify_portfolio_recorded(&left, &right, &portfolio, Some(&shared.telemetry));
+    let portfolio = shared.portfolio_for(job, request.deadline, request.node_limit);
+    let result = verify_portfolio_recorded(&left, &right, &portfolio, shared.telemetry());
     PairReport::from_result(name, spec.left.clone(), spec.right.clone(), result)
 }
 
@@ -1045,24 +1063,15 @@ fn execute_chain_inner(
         circuits.push(circuit);
     }
 
-    // Layer the per-step bounds and the request token over the service
-    // portfolio defaults; every step race shares the chain's token.
-    let mut portfolio = shared.portfolio.clone();
-    if let Some(deadline) = request.deadline {
-        portfolio.deadline = Some(deadline);
-    }
-    if let Some(node_limit) = request.node_limit {
-        portfolio.node_limit = Some(node_limit);
-    }
-    portfolio.cancel = Some(job.cancel.clone());
-
+    // Every step race shares the chain's bounds and token.
+    let portfolio = shared.portfolio_for(job, request.deadline, request.node_limit);
     let parsed = chain::ParsedChain {
         name,
         labels,
         displays,
         circuits,
     };
-    chain::run_chain(&parsed, &portfolio, Some(&shared.telemetry))
+    chain::run_chain(&parsed, &portfolio, shared.telemetry())
 }
 
 /// Renders a folded metrics delta as a JSON object: `counters` (non-zero

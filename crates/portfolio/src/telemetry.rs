@@ -120,7 +120,7 @@ pub struct FeatureBucket {
     /// structured miters bucket apart because the scheme ranking differs
     /// there. Stats recorded before this
     /// dimension existed live under the old (suffix-less) keys and simply
-    /// go cold: predicted plans over a cold bucket degrade to race plans.
+    /// go cold: a cold bucket is planned as a race.
     pub near_identity: bool,
 }
 

@@ -2,8 +2,9 @@
 //! limit would trip every scheme's budget on its first node, a zero leaf
 //! limit would stop every distribution extraction at its first leaf, a zero
 //! deadline would expire before the race starts, and a zero worker count
-//! would silently run one worker, so all of them reject 0. An unknown
-//! `--policy` is rejected rather than guessed.
+//! would silently run one worker, so all of them reject 0. The retired
+//! `--policy` flag is an unknown argument: the launch plan follows from
+//! `--stats-file` alone.
 
 use std::process::{Command, Stdio};
 
@@ -76,12 +77,13 @@ fn both_front_ends_reject_a_zero_or_overflowing_deadline() {
 #[test]
 fn both_front_ends_reject_an_unknown_policy() {
     for binary in [env!("CARGO_BIN_EXE_verify"), env!("CARGO_BIN_EXE_verifyd")] {
-        assert_rejected(
-            binary,
-            "--policy",
-            "bogus",
-            "--policy must be `race` or `predicted`",
-        );
+        for policy in ["race", "predicted"] {
+            let (code, stderr) = run(binary, &["--policy", policy]);
+            assert_eq!(code, Some(2), "{binary} --policy {policy}: {stderr}");
+            assert!(stderr.contains("`--policy`"), "{stderr}");
+            assert!(stderr.contains("usage:"), "{stderr}");
+            assert!(stderr.contains("--stats-file"), "{stderr}");
+        }
     }
 }
 
@@ -111,8 +113,6 @@ fn positive_values_are_accepted() {
             "1",
             "--deadline",
             "0.5",
-            "--policy",
-            "race",
             "--dir",
             "/nonexistent",
         ],
@@ -121,16 +121,7 @@ fn positive_values_are_accepted() {
     assert!(!stderr.contains("must be"), "{stderr}");
     let (code, stderr) = run(
         env!("CARGO_BIN_EXE_verifyd"),
-        &[
-            "--node-limit",
-            "1",
-            "--workers",
-            "1",
-            "--deadline",
-            "0.5",
-            "--policy",
-            "predicted",
-        ],
+        &["--node-limit", "1", "--workers", "1", "--deadline", "0.5"],
     );
     assert_eq!(code, Some(0), "{stderr}");
 }

@@ -1,8 +1,9 @@
 //! Integration tests of the adaptive scheduler, the telemetry store and the
-//! predicted launch path.
+//! predicted launch path. The escalation paths of the engine are unit
+//! tests in `engine.rs`, where plans can be built by hand.
 
 use algorithms::{ghz, qft, qpe};
-use portfolio::scheduler::{plan, SchedulePolicy};
+use portfolio::scheduler::plan;
 use portfolio::telemetry::{PairFeatures, SchemeStats, TelemetryStore};
 use portfolio::{verify_portfolio, verify_portfolio_recorded, PortfolioConfig, Scheme};
 use qcec::Strategy;
@@ -52,13 +53,7 @@ fn predicted_top_k_ordering_is_deterministic_given_seeded_stats() {
     let right = ghz::ghz(10, false);
     let mut store = TelemetryStore::new();
     seed_winner(&mut store, &left, &right, Scheme::Simulative);
-    let config = PortfolioConfig {
-        policy: SchedulePolicy::Predicted {
-            k: 2,
-            escalate_after: Duration::from_secs(1),
-        },
-        ..Default::default()
-    };
+    let config = PortfolioConfig::default();
     for _ in 0..3 {
         let plan = plan(&left, &right, &config, Some(&store));
         assert!(plan.predicted);
@@ -85,7 +80,7 @@ fn predicted_top_k_ordering_is_deterministic_given_seeded_stats() {
                 Scheme::Functional(Strategy::Reference),
             ]
         );
-        assert_eq!(plan.escalate_after, Some(Duration::from_secs(1)));
+        assert_eq!(plan.escalate_after, Some(Duration::from_secs(2)));
     }
 }
 
@@ -95,11 +90,7 @@ fn predicted_winner_carries_a_gc_hint_from_peak_telemetry() {
     let right = ghz::ghz(10, false);
     let mut store = TelemetryStore::new();
     seed_winner(&mut store, &left, &right, Scheme::Simulative);
-    let config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..Default::default()
-    };
-    let plan = plan(&left, &right, &config, Some(&store));
+    let plan = plan(&left, &right, &PortfolioConfig::default(), Some(&store));
     // peak_nodes_max = 1000 → doubled and rounded to a power of two is
     // 2048, clamped up to the 2^14 floor.
     assert_eq!(plan.primary[0].gc_hint, Some(1 << 14));
@@ -111,22 +102,24 @@ fn predicted_winner_carries_a_gc_hint_from_peak_telemetry() {
 fn empty_stats_degrade_predicted_to_exact_race_plan() {
     let left = qft::qft_static(10, None, true);
     let right = qft::qft_dynamic(10);
-    let race_config = PortfolioConfig::default();
-    let predicted_config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..Default::default()
-    };
-    let empty = TelemetryStore::new();
-    let race_plan = plan(&left, &right, &race_config, None);
-    for cold in [
-        plan(&left, &right, &predicted_config, None),
-        plan(&left, &right, &predicted_config, Some(&empty)),
-    ] {
-        assert_eq!(cold, race_plan, "cold predicted must plan exactly a race");
-        assert!(!cold.predicted);
-        assert!(cold.reserve.is_empty());
-        assert_eq!(cold.escalate_after, None);
+    let config = PortfolioConfig::default();
+    let race_plan = plan(&left, &right, &config, None);
+    // A store with stats for *another* bucket is as cold as an empty one.
+    let mut elsewhere = TelemetryStore::new();
+    seed_winner(
+        &mut elsewhere,
+        &ghz::ghz(10, false),
+        &ghz::ghz(10, false),
+        Scheme::Simulative,
+    );
+    for store in [TelemetryStore::new(), elsewhere] {
+        let cold = plan(&left, &right, &config, Some(&store));
+        assert_eq!(cold, race_plan, "a cold store must plan exactly a race");
     }
+    assert!(!race_plan.predicted);
+    assert!(!race_plan.sequential);
+    assert!(race_plan.reserve.is_empty());
+    assert_eq!(race_plan.escalate_after, None);
     // And the race plan itself preserves the historical launch order.
     assert_eq!(
         race_plan
@@ -145,6 +138,8 @@ fn empty_stats_degrade_predicted_to_exact_race_plan() {
 
 #[test]
 fn tiny_pairs_get_a_sequential_plan_under_both_policies() {
+    // Both plan shapes — the race (no stats) and the prediction (warm
+    // stats) — try a tiny pair's schemes sequentially.
     let (static_qpe, iqpe) = paper_qpe_pair();
     let race_plan = plan(&static_qpe, &iqpe, &PortfolioConfig::default(), None);
     assert!(race_plan.sequential);
@@ -166,11 +161,12 @@ fn tiny_pairs_get_a_sequential_plan_under_both_policies() {
     // sequential shape (no threads for a tiny pair).
     let mut store = TelemetryStore::new();
     seed_winner(&mut store, &static_qpe, &iqpe, Scheme::FixedInput);
-    let predicted_config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..Default::default()
-    };
-    let predicted_plan = plan(&static_qpe, &iqpe, &predicted_config, Some(&store));
+    let predicted_plan = plan(
+        &static_qpe,
+        &iqpe,
+        &PortfolioConfig::default(),
+        Some(&store),
+    );
     assert!(predicted_plan.sequential);
     assert!(predicted_plan.predicted);
     assert_eq!(predicted_plan.primary[0].scheme, Scheme::FixedInput);
@@ -179,23 +175,17 @@ fn tiny_pairs_get_a_sequential_plan_under_both_policies() {
 
 #[test]
 fn predicted_primary_wave_always_contains_a_proving_scheme() {
-    // Seed the stats so the *simulative* check is the sole predicted winner
+    // Seed the stats so the *simulative* check is the predicted favourite
     // of a 10-qubit equivalent pair. Simulative agreement is advisory
     // (`ProbablyEquivalent`) — a primary wave of just the simulative check
-    // could never settle the pair — so the scheduler must extend the wave
-    // with the best proving scheme, and the run concludes without ever
-    // escalating.
+    // could never settle the pair — but the two-scheme wave always holds a
+    // proving scheme too, since the simulative check is the only one that
+    // cannot prove. The run concludes without ever escalating.
     let left = ghz::ghz(10, false);
     let right = ghz::ghz(10, false);
     let mut store = TelemetryStore::new();
     seed_winner(&mut store, &left, &right, Scheme::Simulative);
-    let config = PortfolioConfig {
-        policy: SchedulePolicy::Predicted {
-            k: 1,
-            escalate_after: Duration::from_secs(60),
-        },
-        ..Default::default()
-    };
+    let config = PortfolioConfig::default();
     let wave = plan(&left, &right, &config, Some(&store));
     assert_eq!(
         wave.primary.iter().map(|s| s.scheme).collect::<Vec<_>>(),
@@ -203,7 +193,7 @@ fn predicted_primary_wave_always_contains_a_proving_scheme() {
             Scheme::Simulative,
             Scheme::Functional(Strategy::Proportional)
         ],
-        "the wave must be extended with a proving scheme"
+        "the wave must hold a proving scheme"
     );
 
     let telemetry = Mutex::new(store);
@@ -220,85 +210,6 @@ fn predicted_primary_wave_always_contains_a_proving_scheme() {
 }
 
 #[test]
-fn escalation_reaches_a_conclusive_verdict_when_the_prediction_errors() {
-    // Seed the stats so the fixed-input extraction is the sole predicted
-    // winner, then give the run a 1-leaf extraction budget: the predicted
-    // scheme fails deterministically, the primary wave drains without a
-    // verdict, and the engine must escalate to the reconstruction schemes
-    // (which ignore the leaf budget) to still prove equivalence.
-    let left = qft::qft_static(10, None, true);
-    let right = qft::qft_dynamic(10);
-    let mut store = TelemetryStore::new();
-    seed_winner(&mut store, &left, &right, Scheme::FixedInput);
-    let config = PortfolioConfig {
-        policy: SchedulePolicy::Predicted {
-            k: 1,
-            escalate_after: Duration::from_secs(60),
-        },
-        leaf_limit: Some(1),
-        ..Default::default()
-    };
-    let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
-    assert!(result.predicted);
-    assert!(
-        result.escalated(),
-        "a failed primary wave must escalate: {:#?}",
-        result.schemes
-    );
-    // The primary scheme failed fast (leaf budget), so the wave *drained*
-    // inconclusive well before the 60s stall deadline — the recorded
-    // reason must say so, not blame a stall.
-    assert_eq!(
-        result.escalation,
-        Some(portfolio::EscalationReason::InconclusiveDrain),
-        "a drained primary wave is an inconclusive-drain escalation"
-    );
-    assert!(result.verdict.considered_equivalent());
-    assert!(matches!(result.winner, Some(Scheme::DynamicFunctional(_))));
-    let fixed = result
-        .schemes
-        .iter()
-        .find(|r| r.scheme == Scheme::FixedInput)
-        .expect("the predicted scheme launched first");
-    assert!(
-        fixed.error.is_some(),
-        "the leaf budget must trip: {fixed:?}"
-    );
-    assert!(
-        result.schemes.len() > 1,
-        "escalation launches the reserve wave"
-    );
-}
-
-#[test]
-fn stalled_primary_wave_escalates_on_the_deadline() {
-    // A zero escalation deadline forces the stall path: whatever the
-    // predicted scheme does, the reserve launches (almost) immediately and
-    // the verdict must still be conclusive and correct.
-    let left = qft::qft_static(10, None, true);
-    let right = qft::qft_dynamic(10);
-    let mut store = TelemetryStore::new();
-    seed_winner(&mut store, &left, &right, Scheme::FixedInput);
-    let config = PortfolioConfig {
-        policy: SchedulePolicy::Predicted {
-            k: 1,
-            escalate_after: Duration::ZERO,
-        },
-        ..Default::default()
-    };
-    let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
-    assert!(result.predicted);
-    assert!(
-        result.verdict.considered_equivalent(),
-        "verdict {:?} via {:?}",
-        result.verdict,
-        result.winner
-    );
-}
-
-#[test]
 fn predicted_matches_race_verdicts_and_launches_fewer_schemes() {
     // The acceptance pairs: the paper's 3-bit QPE/IQPE example and a
     // 10-qubit dynamic QFT. Race first (recording telemetry), then verify
@@ -309,19 +220,13 @@ fn predicted_matches_race_verdicts_and_launches_fewer_schemes() {
     let qft_right = qft::qft_dynamic(10);
 
     let telemetry = Mutex::new(TelemetryStore::new());
-    let race_config = PortfolioConfig::default();
-    let race_qpe = verify_portfolio_recorded(&static_qpe, &iqpe, &race_config, Some(&telemetry));
-    let race_qft = verify_portfolio_recorded(&qft_left, &qft_right, &race_config, Some(&telemetry));
+    let config = PortfolioConfig::default();
+    let race_qpe = verify_portfolio_recorded(&static_qpe, &iqpe, &config, Some(&telemetry));
+    let race_qft = verify_portfolio_recorded(&qft_left, &qft_right, &config, Some(&telemetry));
     assert!(!race_qpe.predicted && !race_qft.predicted);
 
-    let predicted_config = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..Default::default()
-    };
-    let predicted_qpe =
-        verify_portfolio_recorded(&static_qpe, &iqpe, &predicted_config, Some(&telemetry));
-    let predicted_qft =
-        verify_portfolio_recorded(&qft_left, &qft_right, &predicted_config, Some(&telemetry));
+    let predicted_qpe = verify_portfolio_recorded(&static_qpe, &iqpe, &config, Some(&telemetry));
+    let predicted_qft = verify_portfolio_recorded(&qft_left, &qft_right, &config, Some(&telemetry));
 
     assert_eq!(
         predicted_qpe.verdict.considered_equivalent(),
@@ -393,10 +298,7 @@ fn stats_files_without_sharing_records_still_load() {
     let plain = TelemetryStore::from_json(&without_block).expect("round trip");
     assert_eq!(loaded.races, plain.races);
     assert_eq!(loaded.schemes.len(), plain.schemes.len());
-    let predicted = PortfolioConfig {
-        policy: SchedulePolicy::predicted(),
-        ..Default::default()
-    };
+    let predicted = PortfolioConfig::default();
     let with_plan = plan(&left, &right, &predicted, Some(&loaded));
     assert!(with_plan.predicted, "the seeded stats must steer the plan");
     assert_eq!(with_plan, plan(&left, &right, &predicted, Some(&plain)));
@@ -457,7 +359,6 @@ fn explicit_scheme_lists_bypass_the_scheduler() {
     seed_winner(&mut store, &static_qpe, &iqpe, Scheme::FixedInput);
     let config = PortfolioConfig {
         schemes: vec![Scheme::DynamicFunctional(Strategy::Proportional)],
-        policy: SchedulePolicy::predicted(),
         ..Default::default()
     };
     let explicit = plan(&static_qpe, &iqpe, &config, Some(&store));

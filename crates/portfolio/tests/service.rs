@@ -1,7 +1,9 @@
 //! Integration tests of the verification service core: admission control,
-//! cancellation-on-disconnect and telemetry folding.
+//! cancellation-on-disconnect and the persisted telemetry store.
 
 use portfolio::service::{RejectReason, Request, ServiceConfig, Source, VerificationService};
+use portfolio::TelemetryStore;
+use std::path::PathBuf;
 use std::time::Duration;
 
 fn inline_pair(n: usize) -> (String, String) {
@@ -119,9 +121,25 @@ fn admission_control_rejects_when_saturated_and_after_drain() {
     }
 }
 
+/// A stats-file path unique to this test process and `tag`, removed first.
+fn stats_path(tag: &str) -> PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("service-stats-{tag}-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+fn with_stats(path: &std::path::Path) -> ServiceConfig {
+    ServiceConfig {
+        stats: Some(path.to_path_buf()),
+        ..config(1, 8)
+    }
+}
+
 #[test]
 fn completed_requests_fold_telemetry() {
-    let service = VerificationService::start(config(1, 8));
+    let path = stats_path("fold");
+    let service = VerificationService::start(with_stats(&path));
     let first = service.submit(request(LIGHT, "a")).unwrap().wait();
     assert!(first.report.considered_equivalent);
     assert!(!first.cancelled);
@@ -138,6 +156,61 @@ fn completed_requests_fold_telemetry() {
     );
     // The per-request metrics delta rides the outcome.
     assert!(second.metrics.get("counters").is_some());
-    let folded = service.drain();
+    service.drain();
+    let folded = TelemetryStore::load(&path).expect("drain saves the stats file");
+    let _ = std::fs::remove_file(&path);
     assert!(folded.races >= 2);
+}
+
+#[test]
+fn without_a_stats_file_nothing_is_recorded() {
+    let service = VerificationService::start(config(1, 8));
+    let outcome = service.submit(request(LIGHT, "unrecorded")).unwrap().wait();
+    assert!(outcome.report.considered_equivalent);
+    assert!(!outcome.report.predicted);
+    assert_eq!(service.stats().telemetry_races, 0);
+    service.drain();
+}
+
+#[test]
+fn a_warm_stats_file_makes_the_next_service_predict() {
+    // A missing file is a cold start: the first service races and saves
+    // what it learned; a second service over the same path plans from it.
+    let path = stats_path("warm");
+    let cold = VerificationService::start(with_stats(&path));
+    let first = cold.submit(request(LIGHT, "cold")).unwrap().wait();
+    assert!(!first.report.predicted, "a missing file must plan a race");
+    cold.drain();
+    assert!(path.exists(), "drain must save the stats file");
+
+    let warm = VerificationService::start(with_stats(&path));
+    let second = warm.submit(request(LIGHT, "warm")).unwrap().wait();
+    warm.drain();
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        second.report.predicted,
+        "the saved stats must steer the plan"
+    );
+    assert_eq!(
+        second.report.verdict, first.report.verdict,
+        "prediction must not change the verdict"
+    );
+}
+
+#[test]
+fn a_damaged_stats_file_is_never_overwritten() {
+    let path = stats_path("damaged");
+    let damaged = "{ this is not a stats file";
+    std::fs::write(&path, damaged).unwrap();
+    let service = VerificationService::start(with_stats(&path));
+    let outcome = service.submit(request(LIGHT, "damaged")).unwrap().wait();
+    assert!(
+        outcome.report.considered_equivalent,
+        "the service runs cold"
+    );
+    assert!(!outcome.report.predicted);
+    service.drain();
+    let after = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(after, damaged, "drain must not save over a damaged file");
 }

@@ -42,10 +42,6 @@ pub struct ExtractionConfig {
     /// pruned. The paper prunes exactly-zero branches; the small non-zero
     /// default additionally guards against floating-point dust.
     pub prune_threshold: f64,
-    /// Optional hard limit on the number of leaves (recorded outcomes), as a
-    /// safeguard against accidentally extracting a dense distribution over
-    /// very many measurements.
-    pub max_leaves: Option<usize>,
     /// Decision-diagram memory sizing for the extraction walker's package
     /// (compute-table bounds and the automatic garbage-collection
     /// threshold). The portfolio scheduler overrides the GC threshold per
@@ -57,7 +53,6 @@ impl Default for ExtractionConfig {
     fn default() -> Self {
         ExtractionConfig {
             prune_threshold: 1e-12,
-            max_leaves: None,
             memory: dd::MemoryConfig::default(),
         }
     }
@@ -350,14 +345,6 @@ fn merge_repeats(pending: &mut Vec<(Vec<bool>, f64)>) {
     });
 }
 
-/// The smaller of the configured and the budget's leaf limits.
-fn leaf_limit(config: &ExtractionConfig, budget: &Budget) -> Option<usize> {
-    match (config.max_leaves, budget.max_leaves()) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
 /// Runs one extraction walk: the whole branch tree, or with `forced`
 /// outcomes the sub-tree below them.
 fn run_walk(
@@ -382,7 +369,7 @@ fn run_walk(
         prune: config.prune_threshold,
         guard: Guard {
             budget: budget.clone(),
-            max_leaves: leaf_limit(config, budget),
+            max_leaves: budget.max_leaves(),
             progress,
         },
         distribution: OutcomeDistribution::new(circuit.num_bits()),
@@ -397,8 +384,9 @@ fn run_walk(
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BranchLimitExceeded`] when
-/// [`ExtractionConfig::max_leaves`] is exceeded.
+/// None in practice: the walk runs under an unlimited budget, so no limit
+/// can trip. Leaf limits are budget limits: see
+/// [`extract_distribution_budgeted`].
 ///
 /// # Examples
 ///
@@ -429,8 +417,7 @@ pub fn extract_distribution(
 /// # Errors
 ///
 /// Returns [`SimError::InitialStateMismatch`] when the initial state length
-/// does not match the circuit, or [`SimError::BranchLimitExceeded`] when the
-/// leaf budget is exceeded.
+/// does not match the circuit.
 pub fn extract_distribution_from(
     circuit: &QuantumCircuit,
     initial: Option<&[bool]>,
@@ -443,9 +430,9 @@ pub fn extract_distribution_from(
 ///
 /// The extraction observes `budget` cooperatively: it stops on
 /// cancellation, at the deadline or when the node limit trips (reported as
-/// [`SimError::Interrupted`]), and the budget's leaf limit is merged with
-/// [`ExtractionConfig::max_leaves`] (the smaller of the two applies,
-/// reported as [`SimError::BranchLimitExceeded`]).
+/// [`SimError::Interrupted`]), and when more leaves would be recorded than
+/// the budget's leaf limit ([`Budget::with_leaf_limit`], reported as
+/// [`SimError::BranchLimitExceeded`]).
 ///
 /// This is the entry point the portfolio engine uses to race the Section 5
 /// scheme against functional verification: when another scheme wins, the
@@ -455,7 +442,8 @@ pub fn extract_distribution_from(
 ///
 /// # Errors
 ///
-/// Same as [`extract_distribution_from`], plus [`SimError::Interrupted`].
+/// Same as [`extract_distribution_from`], plus [`SimError::Interrupted`] and
+/// [`SimError::BranchLimitExceeded`].
 pub fn extract_distribution_budgeted(
     circuit: &QuantumCircuit,
     initial: Option<&[bool]>,
@@ -646,14 +634,16 @@ mod tests {
     #[test]
     fn branch_limit_is_enforced() {
         let circuit = qft::qft_dynamic(6);
-        let config = ExtractionConfig {
-            max_leaves: Some(10),
-            ..Default::default()
-        };
+        let budget = dd::Budget::unlimited().with_leaf_limit(10);
         assert!(matches!(
-            extract_distribution(&circuit, &config),
+            extract_distribution_budgeted(&circuit, None, &ExtractionConfig::default(), &budget),
             Err(SimError::BranchLimitExceeded { limit: 10 })
         ));
+        // A limit the walk stays within changes nothing.
+        let roomy = dd::Budget::unlimited().with_leaf_limit(64);
+        let result =
+            extract_distribution_budgeted(&circuit, None, &ExtractionConfig::default(), &roomy);
+        assert_eq!(result.unwrap().leaves, 64);
     }
 
     #[test]
@@ -674,25 +664,6 @@ mod tests {
         assert!(matches!(
             extract_distribution_from(&qc, Some(&[true]), &ExtractionConfig::default()),
             Err(SimError::InitialStateMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn budget_leaf_limit_merges_with_config() {
-        let circuit = qft::qft_dynamic(6);
-        let budget = dd::Budget::unlimited().with_leaf_limit(10);
-        assert!(matches!(
-            extract_distribution_budgeted(&circuit, None, &ExtractionConfig::default(), &budget),
-            Err(SimError::BranchLimitExceeded { limit: 10 })
-        ));
-        // The tighter of the two limits wins.
-        let config = ExtractionConfig {
-            max_leaves: Some(5),
-            ..Default::default()
-        };
-        assert!(matches!(
-            extract_distribution_budgeted(&circuit, None, &config, &budget),
-            Err(SimError::BranchLimitExceeded { limit: 5 })
         ));
     }
 
@@ -754,12 +725,9 @@ mod tests {
         assert_eq!(result.leaves, 2);
         assert!((result.distribution.probability(&[false]) - 0.5).abs() < 1e-12);
         assert!((result.distribution.probability(&[true]) - 0.5).abs() < 1e-12);
-        let limited = ExtractionConfig {
-            max_leaves: Some(1),
-            ..Default::default()
-        };
+        let limited = dd::Budget::unlimited().with_leaf_limit(1);
         assert!(matches!(
-            extract_distribution(&qc, &limited),
+            extract_distribution_budgeted(&qc, None, &ExtractionConfig::default(), &limited),
             Err(SimError::BranchLimitExceeded { limit: 1 })
         ));
     }
@@ -768,12 +736,14 @@ mod tests {
     fn parallel_leaf_limit_counts_every_worker() {
         // 64 leaves over 4 workers of 16: only a global count trips 40.
         let circuit = qft::qft_dynamic(6);
-        let config = ExtractionConfig {
-            max_leaves: Some(40),
-            ..Default::default()
-        };
+        let budget = dd::Budget::unlimited().with_leaf_limit(40);
         assert!(matches!(
-            extract_distribution_parallel(&circuit, &config, 4),
+            extract_distribution_parallel_budgeted(
+                &circuit,
+                &ExtractionConfig::default(),
+                4,
+                &budget
+            ),
             Err(SimError::BranchLimitExceeded { limit: 40 })
         ));
         let unlimited = extract_distribution_parallel(&circuit, &ExtractionConfig::default(), 4);
