@@ -647,6 +647,26 @@ mod tests {
     }
 
     #[test]
+    fn budget_leaf_limit_merges_with_config() {
+        let circuit = qft::qft_dynamic(6);
+        // The budget's leaf limit applies whatever else the config sets.
+        let config = ExtractionConfig {
+            prune_threshold: 1e-9,
+            ..Default::default()
+        };
+        let budget = dd::Budget::unlimited().with_leaf_limit(10);
+        assert!(matches!(
+            extract_distribution_budgeted(&circuit, None, &config, &budget),
+            Err(SimError::BranchLimitExceeded { limit: 10 })
+        ));
+        // The config carries no leaf limit of its own: an unlimited budget
+        // walks every leaf.
+        let result =
+            extract_distribution_budgeted(&circuit, None, &config, &dd::Budget::unlimited());
+        assert_eq!(result.unwrap().leaves, 64);
+    }
+
+    #[test]
     fn custom_initial_state() {
         // A circuit that simply measures both qubits, started in |10⟩.
         let mut qc = circuit::QuantumCircuit::new(2, 2);
